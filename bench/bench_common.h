@@ -23,10 +23,6 @@
  *                    workloads (100 = nominal arrival rate; splash
  *                    apps ignore it).  Default: first CORD_LOAD entry,
  *                    else 100.
- *   --sim-shards N   per-run host-thread budget (RunSetup::simShards):
- *                    N > 1 replays pure-observer detectors on worker
- *                    threads with bit-identical results; 0 = one per
- *                    hardware thread.  Composes with --jobs.
  *
  * Environment knobs (all optional):
  *   CORD_SCALE       workload input scale      (default 2)
@@ -38,7 +34,6 @@
  *                    bench_server (default "50,100,200"); a single
  *                    value also sets the --load default everywhere
  *   CORD_JOBS        default for --jobs        (default 1)
- *   CORD_SIM_SHARDS  default for --sim-shards  (default 1)
  *   CORD_LINT        when set and nonzero, run the cordlint checks
  *                    (docs/ANALYSIS.md) on every experiment run's
  *                    artifacts and abort on any finding
@@ -46,6 +41,9 @@
  *                    warn() and inform(), 1 keeps warnings only,
  *                    2 (default) prints everything; panics and fatals
  *                    are never suppressed
+ *
+ * A malformed number in any flag or knob (not a plain base-10 integer,
+ * or below its minimum) prints a one-line error and exits 2.
  */
 
 #ifndef CORD_BENCH_COMMON_H
@@ -56,6 +54,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,13 +74,65 @@ namespace cord
 namespace bench
 {
 
+/** Options every bench binary accepts (see the file comment). */
+struct BenchArgs
+{
+    std::string tool = "bench";  //!< basename of argv[0]
+    unsigned jobs = 1;           //!< campaign/perf worker threads
+    std::string manifestPath;    //!< "" = no manifest
+    bool json = false;           //!< machine-readable tables
+    unsigned repeat = 5;         //!< timed repetitions (median-of-N)
+    unsigned warmup = 1;         //!< untimed repetitions first
+    std::string perfOutPath;     //!< "" = the binary's default
+    unsigned load = 0;           //!< 0 = resolve from CORD_LOAD / 100
+
+    /** Process start, captured by parseArgs: the reference point of
+     *  elapsedSec() for manifest wallSeconds stamps. */
+    std::chrono::steady_clock::time_point start;
+};
+
+/** The parsed flags (parseArgs fills them; defaults before that). */
+inline BenchArgs &
+args()
+{
+    static BenchArgs a;
+    return a;
+}
+
+/**
+ * Parse @p text, the value of flag or environment variable @p what, as
+ * a plain base-10 integer of at least @p min.  Anything else -- empty,
+ * a sign, whitespace, trailing garbage, out of range -- prints a
+ * one-line error and exits 2 instead of silently reading as 0.
+ */
 inline unsigned
-envUnsigned(const char *name, unsigned dflt)
+checkedUnsigned(const char *what, const char *text, unsigned min = 0)
+{
+    const std::optional<std::uint64_t> v = parseCount(text);
+    if (!v || *v < min || *v > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr, "%s: %s expects an integer >= %u, got '%s'\n",
+                     args().tool.c_str(), what, min, text);
+        std::exit(2);
+    }
+    return static_cast<unsigned>(*v);
+}
+
+/** Environment knob @p name via checkedUnsigned; unset or empty
+ *  yields @p dflt. */
+inline unsigned
+envUnsigned(const char *name, unsigned dflt, unsigned min = 0)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return dflt;
-    return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+    return checkedUnsigned(name, v, min);
+}
+
+/** CORD_SCALE, the workload input scale (default 2). */
+inline unsigned
+envScale()
+{
+    return envUnsigned("CORD_SCALE", 2, 1);
 }
 
 /**
@@ -116,32 +168,6 @@ campaignSeed()
     return Rng::deriveSeed(baseSeed(), kBenchCampaignSeedTag);
 }
 
-/** Options every bench binary accepts (see the file comment). */
-struct BenchArgs
-{
-    std::string tool = "bench";  //!< basename of argv[0]
-    unsigned jobs = 1;           //!< campaign/perf worker threads
-    std::string manifestPath;    //!< "" = no manifest
-    bool json = false;           //!< machine-readable tables
-    unsigned repeat = 5;         //!< timed repetitions (median-of-N)
-    unsigned warmup = 1;         //!< untimed repetitions first
-    std::string perfOutPath;     //!< "" = the binary's default
-    unsigned load = 0;           //!< 0 = resolve from CORD_LOAD / 100
-    unsigned simShards = 1;      //!< per-run host threads
-
-    /** Process start, captured by parseArgs: the reference point of
-     *  elapsedSec() for manifest wallSeconds stamps. */
-    std::chrono::steady_clock::time_point start;
-};
-
-/** The parsed flags (parseArgs fills them; defaults before that). */
-inline BenchArgs &
-args()
-{
-    static BenchArgs a;
-    return a;
-}
-
 /**
  * Parse the shared bench flags.  Call first thing in main; exits with
  * usage on unknown arguments.  --jobs defaults to CORD_JOBS (else 1).
@@ -156,7 +182,6 @@ parseArgs(int argc, char **argv)
         a.tool = slash ? slash + 1 : argv[0];
     }
     a.jobs = defaultJobs();
-    a.simShards = defaultSimShards();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char * {
@@ -168,39 +193,24 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs") {
-            a.jobs = resolveJobs(
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10)));
+            a.jobs = resolveJobs(checkedUnsigned("--jobs", value()));
         } else if (arg == "--manifest") {
             a.manifestPath = value();
         } else if (arg == "--json") {
             a.json = true;
         } else if (arg == "--repeat") {
-            a.repeat = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-            if (a.repeat == 0)
-                a.repeat = 1;
+            a.repeat = checkedUnsigned("--repeat", value(), 1);
         } else if (arg == "--warmup") {
-            a.warmup = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            a.warmup = checkedUnsigned("--warmup", value());
         } else if (arg == "--perf-out") {
             a.perfOutPath = value();
-        } else if (arg == "--sim-shards") {
-            a.simShards = resolveSimShards(static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10)));
         } else if (arg == "--load") {
-            a.load = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-            if (a.load == 0) {
-                std::fprintf(stderr, "%s: --load must be >= 1\n",
-                             a.tool.c_str());
-                std::exit(2);
-            }
+            a.load = checkedUnsigned("--load", value(), 1);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--jobs N] [--manifest FILE]"
                          " [--json] [--repeat N] [--warmup N]"
-                         " [--perf-out FILE] [--load N]"
-                         " [--sim-shards N]\n",
+                         " [--perf-out FILE] [--load N]\n",
                          a.tool.c_str());
             std::exit(2);
         }
@@ -239,9 +249,7 @@ loadLevels()
 {
     std::vector<unsigned> levels;
     for (const std::string &tok : splitCommaList(std::getenv("CORD_LOAD")))
-        if (const unsigned v = static_cast<unsigned>(
-                std::strtoul(tok.c_str(), nullptr, 10)))
-            levels.push_back(v);
+        levels.push_back(checkedUnsigned("CORD_LOAD", tok.c_str(), 1));
     if (levels.empty())
         levels = {50, 100, 200};
     return levels;
@@ -321,13 +329,12 @@ campaignFor(const std::string &app)
     CampaignConfig cfg;
     cfg.workload = app;
     cfg.params.numThreads = kDefaultNumThreads;
-    cfg.params.scale = envUnsigned("CORD_SCALE", 2);
+    cfg.params.scale = envScale();
     cfg.params.loadPercent = loadPercent();
     cfg.params.seed = workloadSeed();
     cfg.injections = envUnsigned("CORD_INJECTIONS", 30);
     cfg.seed = campaignSeed();
     cfg.jobs = args().jobs;
-    cfg.simShards = args().simShards;
     attachLintObserver(cfg);
     return cfg;
 }
@@ -361,7 +368,7 @@ writeCampaignManifest(
     RunManifest m;
     m.tool = args().tool;
     m.seed = envUnsigned("CORD_SEED", 1);
-    m.setConfig("scale", std::uint64_t(envUnsigned("CORD_SCALE", 2)));
+    m.setConfig("scale", std::uint64_t(envScale()));
     m.setConfig("injections",
                 std::uint64_t(envUnsigned("CORD_INJECTIONS", 30)));
     m.setConfig("threads", std::uint64_t(kDefaultNumThreads));

@@ -35,7 +35,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "  [perf] %s...\n", app.c_str());
             WorkloadParams params;
             params.numThreads = kDefaultNumThreads;
-            params.scale = bench::envUnsigned("CORD_SCALE", 2);
+            params.scale = bench::envScale();
             params.seed = bench::workloadSeed();
             MachineConfig machine;
             machine.computeScale =

@@ -91,7 +91,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "  [orderlog] %s...\n", app.c_str());
             WorkloadParams params;
             params.numThreads = kDefaultNumThreads;
-            params.scale = bench::envUnsigned("CORD_SCALE", 2);
+            params.scale = bench::envScale();
             params.seed = Rng::deriveSeed(bench::baseSeed(),
                                           bench::kBenchOrderlogSeedTag);
 

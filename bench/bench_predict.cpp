@@ -62,7 +62,7 @@ recordTrace(const std::string &app)
 {
     WorkloadParams params;
     params.numThreads = kDefaultNumThreads;
-    params.scale = bench::envUnsigned("CORD_SCALE", 2);
+    params.scale = bench::envScale();
     params.seed = bench::workloadSeed();
     MachineConfig machine;
 
@@ -117,7 +117,7 @@ main(int argc, char **argv)
     manifest.tool = "bench_predict";
     manifest.seed = bench::envUnsigned("CORD_SEED", 1);
     manifest.setConfig("scale",
-                       std::uint64_t(bench::envUnsigned("CORD_SCALE", 2)));
+                       std::uint64_t(bench::envScale()));
     manifest.setConfig("threads", std::uint64_t(kDefaultNumThreads));
     manifest.setConfig("repeat", std::uint64_t(bench::args().repeat));
     manifest.setConfig("warmup", std::uint64_t(bench::args().warmup));

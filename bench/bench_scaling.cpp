@@ -119,7 +119,7 @@ measurePoint(CoherenceKind coherence, unsigned cores,
     // the machine, as the paper's SMP does.
     WorkloadParams params;
     params.numThreads = cores;
-    params.scale = bench::envUnsigned("CORD_SCALE", 2);
+    params.scale = bench::envScale();
     params.seed = bench::workloadSeed();
     CordConfig cord;
     double relSum = 0.0;
@@ -198,7 +198,7 @@ main(int argc, char **argv)
     manifest.tool = "bench_scaling";
     manifest.seed = bench::envUnsigned("CORD_SEED", 1);
     manifest.setConfig("scale",
-                       std::uint64_t(bench::envUnsigned("CORD_SCALE", 2)));
+                       std::uint64_t(bench::envScale()));
     manifest.setConfig("injections",
                        std::uint64_t(bench::envUnsigned("CORD_INJECTIONS",
                                                         30)));

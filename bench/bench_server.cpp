@@ -83,7 +83,7 @@ measurePoint(const std::string &app, unsigned load)
 
     WorkloadParams params;
     params.numThreads = kDefaultNumThreads;
-    params.scale = bench::envUnsigned("CORD_SCALE", 2);
+    params.scale = bench::envScale();
     params.loadPercent = load;
     params.seed = bench::workloadSeed();
     const MachineConfig machine;
@@ -149,7 +149,7 @@ main(int argc, char **argv)
     manifest.tool = "bench_server";
     manifest.seed = bench::envUnsigned("CORD_SEED", 1);
     manifest.setConfig("scale",
-                       std::uint64_t(bench::envUnsigned("CORD_SCALE", 2)));
+                       std::uint64_t(bench::envScale()));
     manifest.setConfig("injections",
                        std::uint64_t(bench::envUnsigned("CORD_INJECTIONS",
                                                         30)));

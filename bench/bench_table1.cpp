@@ -42,7 +42,7 @@ main(int argc, char **argv)
     manifest.tool = "bench_table1";
     manifest.seed = 7;
     manifest.setConfig("scale",
-                       std::uint64_t(bench::envUnsigned("CORD_SCALE", 2)));
+                       std::uint64_t(bench::envScale()));
     manifest.setConfig("threads", std::uint64_t(kDefaultNumThreads));
     if (bench::envUnsigned("CORD_PROFILE", 0))
         manifest.setConfig("profile", "1");
@@ -57,7 +57,7 @@ main(int argc, char **argv)
             RunSetup setup;
             setup.workload = apps[i];
             setup.params.numThreads = 4;
-            setup.params.scale = bench::envUnsigned("CORD_SCALE", 2);
+            setup.params.scale = bench::envScale();
             setup.params.seed = 7;
             if (bench::envUnsigned("CORD_PROFILE", 0)) {
                 Profiler prof;

@@ -1,6 +1,5 @@
 #include "harness/exec.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -27,24 +26,33 @@ envCount(const char *name)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return 1;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long n = std::strtoul(v, &end, 10);
-    // strtoul alone would accept leading whitespace and sign
-    // characters; require a plain digit string.
-    if (!std::isdigit(static_cast<unsigned char>(*v)) || end == v ||
-        *end != '\0' || errno != 0 ||
-        n > std::numeric_limits<unsigned>::max()) {
+    const std::optional<std::uint64_t> n = parseCount(v);
+    if (!n || *n > std::numeric_limits<unsigned>::max()) {
         std::fprintf(stderr,
                      "cord: ignoring malformed %s='%s' (want a "
                      "non-negative integer); using 1\n",
                      name, v);
         return 1;
     }
-    return static_cast<unsigned>(n);
+    return static_cast<unsigned>(*n);
 }
 
 } // namespace
+
+std::optional<std::uint64_t>
+parseCount(const char *text)
+{
+    if (*text == '\0')
+        return std::nullopt;
+    for (const char *p = text; *p; ++p)
+        if (*p < '0' || *p > '9')
+            return std::nullopt;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, nullptr, 10);
+    if (errno == ERANGE)
+        return std::nullopt;
+    return v;
+}
 
 unsigned
 resolveJobs(unsigned requested)
@@ -59,38 +67,6 @@ unsigned
 defaultJobs()
 {
     return resolveJobs(envCount("CORD_JOBS"));
-}
-
-unsigned
-resolveSimShards(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-unsigned
-defaultSimShards()
-{
-    return resolveSimShards(envCount("CORD_SIM_SHARDS"));
-}
-
-const char *
-simShardsComboError(unsigned shards, bool traceRequested,
-                    bool profileRequested)
-{
-    if (shards <= 1)
-        return nullptr;
-    if (traceRequested)
-        return "--sim-shards > 1 cannot be combined with --trace: "
-               "detectors emit trace events into a thread-local "
-               "tracer, which off-thread replay would silently drop";
-    if (profileRequested)
-        return "--sim-shards > 1 cannot be combined with --profile: "
-               "per-detector wall attribution needs the detectors on "
-               "the profiled thread";
-    return nullptr;
 }
 
 std::uint64_t

@@ -14,11 +14,22 @@
 #include <cstdint>
 
 #include "mem/geometry.h"
-#include "mem/lookahead.h"
 #include "sim/types.h"
 
 namespace cord
 {
+
+// Paper Section 3.1 timing constants (processor cycles at 4 GHz).
+constexpr Tick kL1HitLatency = 1;
+constexpr Tick kL2HitLatency = 8;
+constexpr Tick kCacheToCacheLatency = 20;
+constexpr Tick kMemoryLatency = 600;
+constexpr Tick kUpgradeLatency = 8;
+constexpr Tick kAddrBusOccupancy = 8;  // one addr-bus cycle at 500 MHz
+constexpr Tick kDataBusOccupancy = 16; // four 128-bit beats at 1 GHz
+constexpr Tick kOffChipBusOccupancy = 80;
+constexpr Tick kDirectoryLatency = 16;
+constexpr Tick kForwardLatency = 30;
 
 /**
  * Coherence organization.  The paper evaluates bus-based snooping
@@ -53,8 +64,7 @@ struct MachineConfig
     /** Core issue width: compute blocks retire this many instrs/cycle. */
     unsigned issueWidth = 4;
 
-    /** L1 hit latency (processor cycles).  kL1HitLatency >= 1 is the
-     *  PDES response-lookahead floor (mem/lookahead.h). */
+    /** L1 hit latency (processor cycles). */
     Tick l1HitLatency = kL1HitLatency;
 
     /** Private L2 hit latency. */

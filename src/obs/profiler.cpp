@@ -5,8 +5,6 @@
 namespace cord
 {
 
-thread_local Profiler *Profiler::active_ = nullptr;
-
 namespace
 {
 
@@ -26,7 +24,6 @@ constexpr DomainInfo kDomains[kProfDomains] = {
     {"cord_history", "cordHistory"},
     {"vc_baseline", "vcBaseline"},
     {"analysis", "analysis"},
-    {"pdes_barrier", "pdesBarrier"},
 };
 
 } // namespace

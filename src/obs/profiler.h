@@ -54,13 +54,11 @@ enum class ProfDomain : std::uint8_t
     CordHistory,    //!< CORD history displacement / walker folds
     VcBaseline,     //!< vector-clock baseline detector
     Analysis,       //!< offline analysis passes (lint, predict)
-    PdesBarrier,    //!< parallel-sim window-sync idle + handoff
-                    //!< (sim/sharded_queue, cpu/detector_lane)
 };
 
 /** Number of distinct attribution domains. */
 constexpr unsigned kProfDomains =
-    static_cast<unsigned>(ProfDomain::PdesBarrier) + 1;
+    static_cast<unsigned>(ProfDomain::Analysis) + 1;
 
 /** Stable lowercase name of @p d ("kernel_dispatch", ...). */
 const char *profDomainName(ProfDomain d);
@@ -198,8 +196,10 @@ class Profiler
     }
 
     /** Thread-local so one run's ProfilerScope (one run == one thread)
-     *  never absorbs costs from runs on other campaign workers. */
-    static thread_local Profiler *active_;
+     *  never absorbs costs from runs on other campaign workers.
+     *  Defined constinit in the header so no TU reaches it through a
+     *  TLS init wrapper, which UBSan misreports as a null access. */
+    static inline constinit thread_local Profiler *active_ = nullptr;
 
     std::uint64_t wallPeriod_;
     std::uint64_t cycles_[kProfDomains] = {};

@@ -9,8 +9,6 @@
 namespace cord
 {
 
-thread_local EventTracer *EventTracer::active_ = nullptr;
-
 namespace
 {
 

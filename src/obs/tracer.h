@@ -166,8 +166,10 @@ class EventTracer
 
     /** Thread-local so one run's TracerScope (one run == one thread)
      *  never captures events from runs executing concurrently on other
-     *  workers (see tests/obs_test.cpp TracerThreadIsolation). */
-    static thread_local EventTracer *active_;
+     *  workers (see tests/obs_test.cpp TracerThreadIsolation).
+     *  Defined constinit in the header so no TU reaches it through a
+     *  TLS init wrapper, which UBSan misreports as a null access. */
+    static inline constinit thread_local EventTracer *active_ = nullptr;
 
     std::size_t capacity_;
     std::vector<TraceEvent> ring_;

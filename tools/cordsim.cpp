@@ -58,7 +58,6 @@ struct Options
     std::uint32_t d = 16;
     unsigned campaign = 0; //!< >0 = campaign mode with N injections
     unsigned jobs = 1;     //!< campaign/exploration worker threads
-    unsigned simShards = 1; //!< per-run host threads (detector lanes)
     bool haveInjection = false;
     InjectionPick pick;
     bool knownRaces = false;
@@ -104,16 +103,6 @@ usage(std::FILE *to, const char *argv0)
         "  --directory         directory coherence instead of "
         "snooping\n"
         "  --migrate N         migrate threads every N instructions\n"
-        "  --sim-shards N      host threads per run (default "
-        "CORD_SIM_SHARDS or 1;\n"
-        "                      0 = one per hardware thread): with N > 1 "
-        "pure-observer\n"
-        "                      detectors replay on worker threads, "
-        "bit-identical\n"
-        "                      results for every N "
-        "(docs/PERFORMANCE.md section 6);\n"
-        "                      composes with --jobs, rejected with "
-        "--trace/--profile\n"
         "  --replay            verify deterministic order-log replay "
         "after the run\n"
         "  --trace FILE        write structured simulator events as "
@@ -182,25 +171,20 @@ fail(const std::string &msg)
     std::exit(2);
 }
 
-/** Strict unsigned parse: digits only, range-checked. */
+/** Strict unsigned parse (parseCount), range-checked. */
 std::uint64_t
 parseNum(const std::string &flag, const char *s, std::uint64_t min,
          std::uint64_t max = ~std::uint64_t{0})
 {
-    bool ok = *s != '\0';
-    for (const char *p = s; *p; ++p)
-        ok = ok && *p >= '0' && *p <= '9';
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (!ok || errno == ERANGE || v > max)
+    const std::optional<std::uint64_t> v = parseCount(s);
+    if (!v || *v > max)
         fail(flag + " expects an unsigned integer" +
              (min > 0 ? " >= " + std::to_string(min) : "") + ", got '" +
              s + "'");
-    if (v < min)
+    if (*v < min)
         fail(flag + " must be at least " + std::to_string(min) +
              ", got '" + s + "'");
-    return v;
+    return *v;
 }
 
 Options
@@ -208,7 +192,6 @@ parse(int argc, char **argv)
 {
     Options opt;
     opt.jobs = defaultJobs();
-    opt.simShards = defaultSimShards();
     bool haveCampaign = false, haveExplore = false, haveJobs = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -252,9 +235,6 @@ parse(int argc, char **argv)
         } else if (a == "--jobs") {
             haveJobs = true;
             opt.jobs = resolveJobs(static_cast<unsigned>(num(0, 4096)));
-        } else if (a == "--sim-shards") {
-            opt.simShards =
-                resolveSimShards(static_cast<unsigned>(num(0, 4096)));
         } else if (a == "--inject") {
             const std::string spec = next();
             const std::size_t colon = spec.find(':');
@@ -384,9 +364,6 @@ parse(int argc, char **argv)
                 fail(std::string(name) +
                      " cannot be combined with --profile");
     }
-    if (const char *err = simShardsComboError(
-            opt.simShards, !opt.tracePath.empty(), opt.profile))
-        fail(err);
     if (!opt.haveSchedSeed)
         opt.schedSeed = opt.seed;
     return opt;
@@ -398,8 +375,7 @@ traceCapacity()
     const char *v = std::getenv("CORD_TRACE_CAPACITY");
     if (!v || !*v)
         return EventTracer::kDefaultCapacity;
-    const std::size_t n = std::strtoull(v, nullptr, 10);
-    return n ? n : EventTracer::kDefaultCapacity;
+    return parseNum("CORD_TRACE_CAPACITY", v, 1);
 }
 
 std::string
@@ -430,7 +406,6 @@ makeSpec(const Options &opt)
     spec.schedules = opt.explore;
     spec.seed = opt.schedSeed;
     spec.jobs = opt.jobs;
-    spec.simShards = opt.simShards;
     spec.cordD = opt.d;
     if (opt.haveInjection) {
         spec.haveInjection = true;
@@ -464,7 +439,6 @@ runCampaignMode(const Options &opt)
     cfg.injections = opt.campaign;
     cfg.seed = opt.seed * 101 + 13;
     cfg.jobs = opt.jobs;
-    cfg.simShards = opt.simShards;
     if (opt.explore > 0) {
         cfg.schedules = opt.explore;
         cfg.sched = opt.sched;
@@ -891,7 +865,6 @@ main(int argc, char **argv)
                                             : CoherenceKind::Snooping;
     setup.machine.migrationPeriodInstrs = opt.migrate;
     setup.maxTicks = 0;
-    setup.simShards = opt.simShards;
 
     AddressSpace space;
     setup.captureSpace = &space;
@@ -1048,23 +1021,6 @@ main(int argc, char **argv)
         m.lintVerdict = lintVerdict;
         m.wallSeconds = wallSeconds;
         m.stampTime();
-        // Lane telemetry is volatile by construction (host threading,
-        // wait times); the deterministic sections stay byte-identical
-        // across --sim-shards values.
-        if (out.pdes.shardsRequested > 1) {
-            m.shardMetrics["shardsRequested"] = out.pdes.shardsRequested;
-            m.shardMetrics["lanes"] = out.pdes.lanes;
-            m.shardMetrics["laneRecords"] =
-                static_cast<double>(out.pdes.laneRecords);
-            m.shardMetrics["laneBatches"] =
-                static_cast<double>(out.pdes.laneBatches);
-            m.shardMetrics["producerWaitSec"] =
-                static_cast<double>(out.pdes.producerWaitNs) * 1e-9;
-            m.shardMetrics["laneIdleSec"] =
-                static_cast<double>(out.pdes.laneIdleNs) * 1e-9;
-            m.shardMetrics["joinSec"] =
-                static_cast<double>(out.pdes.joinNs) * 1e-9;
-        }
         m.metrics.add("", out.stats);
         m.metrics.add("detector.cord", cord.stats());
         m.metrics.add("detector.vc", vcd.stats());
