@@ -4,24 +4,18 @@
  *
  * `analyzeEpochCompressed` computes the exact same result as
  * `HbAnalysis::analyze` -- same racing pairs in the same order, same
- * racy-word and endpoint sets, same thread-count resolution -- but
- * replaces the full vector-clock word histories with adaptively
- * compressed per-word state:
- *
- *  - words only one thread ever touched keep two Epochs (cord/
- *    vector_clock.h) and are checked/updated in O(1) -- the FastTrack
- *    read/write-same-epoch fast path, which covers the overwhelming
- *    majority of accesses in the SPLASH-style workloads;
- *  - words that become shared are promoted to pooled per-thread
- *    epoch arrays guarded by accessor bitmasks, so race checks scan
- *    only threads that actually touched the word instead of all N;
- *  - word lookup uses the open-addressing FlatAddrMap instead of one
- *    heap allocation (four vectors) per word.
+ * racy-word and endpoint sets, same thread-count resolution -- as the
+ * offline front end of the shared access-history core (cord/
+ * access_history.h) instead of full per-word vector histories:
+ * exclusive words are checked in O(1), shared words scan only the
+ * threads that touched them, and no word costs a heap allocation.
+ * Each history slot is stamped with its trace index, from which the
+ * earlier endpoint's tick is read back.
  *
  * CI's bench_predict job asserts this analyzer stays >= 2x faster
  * than the full-vector HbAnalysis on access-dense apps while
  * producing an identical race set (tests/predict_test.cpp proves the
- * equivalence field by field).
+ * equivalence field by field, and that online IdealDetector agrees).
  */
 
 #ifndef CORD_ANALYSIS_EPOCH_ANALYZER_H

@@ -5,10 +5,17 @@
  *
  * This recomputes, offline and from first principles, the complete set
  * of racing access pairs in a trace -- the same semantics as the
- * IdealDetector (FastTrack-style per-<word,thread> last-access epochs,
- * vector clocks advanced by synchronization only), but unbounded: the
- * full race list is retained and every race records both endpoints, so
- * CORD's online reports can be audited against it.
+ * IdealDetector (per-<word,thread> last-access epochs, vector clocks
+ * advanced by synchronization only), but unbounded: the full race list
+ * is retained and every race records both endpoints, so CORD's online
+ * reports can be audited against it.
+ *
+ * `HbAnalysis::analyze` is the independent reference, kept apart on
+ * purpose: it stores full per-thread vectors for every word and shares
+ * no code with the epoch-compressed access-history core
+ * (cord/access_history.h) behind IdealDetector, analyzeEpochCompressed
+ * and the predictor.  Tests and the benchmark's offline check compare
+ * that core against it pair by pair.
  */
 
 #ifndef CORD_ANALYSIS_HB_ANALYZER_H

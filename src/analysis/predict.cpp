@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "analysis/log_checker.h"
+#include "cord/access_history.h"
 #include "sim/flat_map.h"
 #include "sim/logging.h"
 
@@ -26,15 +27,6 @@ predictSampled(Addr word, unsigned sampleRate)
 
 namespace
 {
-
-/** Per-word, per-thread last data access under the W order: epoch,
- *  commit tick and global trace index (the index feeds witnesses). */
-struct WordHistory
-{
-    std::vector<std::uint32_t> lastWriteEpoch, lastReadEpoch;
-    std::vector<Tick> lastWriteTick, lastReadTick;
-    std::vector<std::uint64_t> lastWriteIndex, lastReadIndex;
-};
 
 /** A racy word the first pass wants a witness for. */
 struct WitnessReq
@@ -60,12 +52,7 @@ std::vector<RaceWitness>
 buildWitnesses(const DecodedTrace &trace, unsigned n,
                const std::vector<WitnessReq> &reqs)
 {
-    std::vector<VectorClock> vc;
-    vc.reserve(n);
-    for (ThreadId t = 0; t < n; ++t) {
-        vc.emplace_back(n);
-        vc.back().tick(t);
-    }
+    std::vector<VectorClock> vc = initialThreadClocks(n);
     FlatAddrMap<VectorClock> lastSyncWriteVc;
 
     // shipCount[t][k-1] = t's event count up to & including its k-th
@@ -153,18 +140,15 @@ PredictiveAnalysis::analyze(const DecodedTrace &trace,
         return a;
     const unsigned n = a.numThreads_;
 
-    std::vector<VectorClock> vc;
-    vc.reserve(n);
-    for (ThreadId t = 0; t < n; ++t) {
-        vc.emplace_back(n);
-        vc.back().tick(t);
-    }
+    std::vector<VectorClock> vc = initialThreadClocks(n);
 
     // W differs from happens-before in exactly one place: a sync word
     // carries only a snapshot of its *last* writer's clock, not the
     // join of every writer so far.
     FlatAddrMap<VectorClock> lastSyncWriteVc;
-    FlatAddrMap<WordHistory> words;
+    // Last data accesses under W, stamped with their trace index (the
+    // index feeds witnesses and gives back the earlier tick).
+    AccessHistory<std::uint64_t> history(n);
 
     std::vector<WitnessReq> reqs;
     std::set<Addr> reqWords;
@@ -191,56 +175,19 @@ PredictiveAnalysis::analyze(const DecodedTrace &trace,
         }
         ++a.accessesAnalyzed_;
 
-        WordHistory &h = words[wa];
-        if (h.lastWriteEpoch.empty()) {
-            h.lastWriteEpoch.assign(n, 0);
-            h.lastReadEpoch.assign(n, 0);
-            h.lastWriteTick.assign(n, 0);
-            h.lastReadTick.assign(n, 0);
-            h.lastWriteIndex.assign(n, 0);
-            h.lastReadIndex.assign(n, 0);
-        }
-
-        auto request = [&](std::uint64_t earlierIndex) {
-            if (reqs.size() >= opt.maxWitnesses ||
-                reqWords.count(wa)) {
-                return;
-            }
-            reqWords.insert(wa);
-            reqs.push_back(WitnessReq{wa, earlierIndex, i});
-        };
-
-        for (ThreadId u = 0; u < n; ++u) {
-            if (u == ev.tid)
-                continue;
-            const std::uint32_t we = h.lastWriteEpoch[u];
-            if (we != 0 && tvc[u] < we) {
-                a.races_.push_back(
-                    PredictedRace{ev.tick, wa, ev.tid, ev.kind, u,
-                                  h.lastWriteTick[u], true});
+        history.access(
+            tvc, ev.tid, wa, ev.isWrite(), i,
+            [&](ThreadId u, std::uint64_t j, bool otherWasWrite) {
+                a.races_.push_back(PredictedRace{ev.tick, wa, ev.tid,
+                                                 ev.kind, u,
+                                                 trace.events[j].tick,
+                                                 otherWasWrite});
                 a.racyWords_.insert(wa);
-                request(h.lastWriteIndex[u]);
-            }
-            if (ev.isWrite()) {
-                const std::uint32_t re = h.lastReadEpoch[u];
-                if (re != 0 && tvc[u] < re) {
-                    a.races_.push_back(
-                        PredictedRace{ev.tick, wa, ev.tid, ev.kind, u,
-                                      h.lastReadTick[u], false});
-                    a.racyWords_.insert(wa);
-                    request(h.lastReadIndex[u]);
+                if (reqs.size() < opt.maxWitnesses &&
+                    reqWords.insert(wa).second) {
+                    reqs.push_back(WitnessReq{wa, j, i});
                 }
-            }
-        }
-        if (ev.isWrite()) {
-            h.lastWriteEpoch[ev.tid] = tvc[ev.tid];
-            h.lastWriteTick[ev.tid] = ev.tick;
-            h.lastWriteIndex[ev.tid] = i;
-        } else {
-            h.lastReadEpoch[ev.tid] = tvc[ev.tid];
-            h.lastReadTick[ev.tid] = ev.tick;
-            h.lastReadIndex[ev.tid] = i;
-        }
+            });
     }
 
     if (!reqs.empty())

@@ -21,8 +21,9 @@
  * own components advance identically), so every HB race is W-unordered
  * too: predicted races are a sound superset of the detected ones on
  * the same trace, by construction.  The analysis stays linear: one
- * vector-clock pass, same per-word last-access machinery as
- * HbAnalysis.
+ * vector-clock pass under W over the same epoch-compressed per-word
+ * access history (cord/access_history.h) that Ideal and the epoch
+ * pass use, stamped with trace indices for the witnesses.
  *
  * Every predicted race on the first few distinct words carries a
  * feasibility witness -- a per-thread prefix of the trace (cutoffs in

@@ -6,28 +6,11 @@ namespace cord
 {
 
 IdealDetector::IdealDetector(unsigned numThreads, std::string name)
-    : Detector(std::move(name)), numThreads_(numThreads)
+    : Detector(std::move(name)), numThreads_(numThreads),
+      vc_(initialThreadClocks(numThreads)), history_(numThreads)
 {
     cord_assert(numThreads_ > 0, "Ideal needs at least one thread");
     dataRaces_ = stats_.counter("ideal.dataRaces");
-    vc_.reserve(numThreads_);
-    for (ThreadId t = 0; t < numThreads_; ++t) {
-        vc_.emplace_back(numThreads_);
-        vc_.back().tick(t); // components start at 1 so epoch 0 == never
-    }
-}
-
-IdealDetector::WordHistory &
-IdealDetector::history(Addr wordA)
-{
-    auto it = words_.find(wordA);
-    if (it == words_.end()) {
-        WordHistory h;
-        h.lastWrite.assign(numThreads_, 0);
-        h.lastRead.assign(numThreads_, 0);
-        it = words_.emplace(wordA, std::move(h)).first;
-    }
-    return it->second;
 }
 
 void
@@ -40,7 +23,7 @@ IdealDetector::onAccess(const MemEvent &ev)
     if (ev.isSync()) {
         // Synchronization maintains happens-before; it is never itself
         // reported as a data race.
-        auto &svc = syncVc_[wa];
+        VectorClock &svc = syncVc_[wa];
         if (svc.size() == 0)
             svc = VectorClock(numThreads_);
         if (!ev.isWrite()) {
@@ -55,30 +38,11 @@ IdealDetector::onAccess(const MemEvent &ev)
         return;
     }
 
-    WordHistory &h = history(wa);
-    // Race check: a conflicting last access by another thread whose
-    // epoch the current thread has not yet acquired is concurrent.
-    for (ThreadId u = 0; u < numThreads_; ++u) {
-        if (u == ev.tid)
-            continue;
-        const std::uint32_t we = h.lastWrite[u];
-        if (we != 0 && tvc[u] < we) {
-            report_.record({ev.tick, wa, ev.tid, ev.kind, 0, 0});
-            dataRaces_.inc();
-        }
-        if (ev.isWrite()) {
-            const std::uint32_t re = h.lastRead[u];
-            if (re != 0 && tvc[u] < re) {
-                report_.record({ev.tick, wa, ev.tid, ev.kind, 0, 0});
-                dataRaces_.inc();
-            }
-        }
-    }
-    // Record this access's epoch.
-    if (ev.isWrite())
-        h.lastWrite[ev.tid] = tvc[ev.tid];
-    else
-        h.lastRead[ev.tid] = tvc[ev.tid];
+    history_.access(tvc, ev.tid, wa, ev.isWrite(), NoStamp{},
+                    [&](ThreadId, NoStamp, bool) {
+                        report_.record({ev.tick, wa, ev.tid, ev.kind, 0, 0});
+                        dataRaces_.inc();
+                    });
 }
 
 } // namespace cord

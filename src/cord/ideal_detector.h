@@ -4,26 +4,25 @@
  * detection (paper Section 4: "the Ideal configuration which detects
  * all dynamically occurring data races").
  *
- * It keeps, for every word ever accessed and every thread, the epoch of
- * the thread's last read and last write of that word (the FastTrack
- * epoch representation of per-<location,thread> last-access vector
- * timestamps, which is complete for race detection because same-thread
- * accesses are totally ordered by program order).  Thread vector clocks
- * evolve through synchronization only -- data races never introduce
- * ordering -- so every racing pair exposed by the execution's causality
- * is found.  Residency is unlimited, exactly like the paper's Ideal
- * runs (which exceeded 2 GB on some inputs).
+ * It is the online front end of the shared access-history core
+ * (cord/access_history.h): every data access is checked against the
+ * last read and write of every other thread on the same word, with
+ * thread vector clocks advanced by synchronization only -- data races
+ * never introduce ordering -- so every racing pair exposed by the
+ * execution's causality is found.  Ideal needs no endpoint back, so
+ * its history slots carry no stamp.  Residency is unlimited, exactly
+ * like the paper's Ideal runs (which exceeded 2 GB on some inputs).
  */
 
 #ifndef CORD_CORD_IDEAL_DETECTOR_H
 #define CORD_CORD_IDEAL_DETECTOR_H
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "cord/access_history.h"
 #include "cord/detector.h"
 #include "cord/vector_clock.h"
+#include "sim/flat_map.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -46,23 +45,14 @@ class IdealDetector : public Detector
     const VectorClock &threadClock(ThreadId tid) const { return vc_[tid]; }
 
     /** Number of distinct words tracked (memory footprint insight). */
-    std::size_t trackedWords() const { return words_.size(); }
+    std::size_t trackedWords() const { return history_.words(); }
 
   private:
-    /** Last-access epochs per thread for one word; 0 = never. */
-    struct WordHistory
-    {
-        std::vector<std::uint32_t> lastWrite;
-        std::vector<std::uint32_t> lastRead;
-    };
-
-    WordHistory &history(Addr wordA);
-
     unsigned numThreads_;
     Counter dataRaces_; //!< pre-registered hot-path handle (stats.h)
     std::vector<VectorClock> vc_;
-    std::unordered_map<Addr, VectorClock> syncVc_; //!< per sync variable
-    std::unordered_map<Addr, WordHistory> words_;
+    FlatAddrMap<VectorClock> syncVc_; //!< per sync variable
+    AccessHistory<NoStamp> history_;
 };
 
 } // namespace cord

@@ -21,11 +21,7 @@ VcDetector::VcDetector(const VcConfig &cfg, std::string name)
         else
             caches_.emplace_back(cfg_.residency);
     }
-    vc_.reserve(cfg_.numThreads);
-    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-        vc_.emplace_back(cfg_.numThreads);
-        vc_.back().tick(t); // each thread starts at component 1
-    }
+    vc_ = initialThreadClocks(cfg_.numThreads);
     dataRaces_ = stats_.counter("vc.dataRaces");
     orderRaces_ = stats_.counter("vc.orderRaces");
     lineDisplacements_ = stats_.counter("vc.lineDisplacements");

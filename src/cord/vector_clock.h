@@ -2,7 +2,8 @@
  * @file
  * Classical logical vector clocks (Fidge/Mattern), used by the paper's
  * comparison configurations (Ideal, InfCache, L2Cache, L1Cache) and by
- * the pure happens-before Ideal detector.
+ * the happens-before analyses.  The epoch-compressed per-word history
+ * built on them is cord/access_history.h.
  */
 
 #ifndef CORD_CORD_VECTOR_CLOCK_H
@@ -16,40 +17,6 @@
 
 namespace cord
 {
-
-/**
- * A FastTrack-style epoch: one thread's scalar clock paired with the
- * thread that owns it, packed into a single 64-bit word (the paper
- * FastTrack writes it "c@t").  An epoch represents the common case of
- * vector-clock metadata -- a location last accessed by exactly one
- * thread -- in O(1) space and compares against a full vector clock in
- * O(1) time, which is what makes the epoch-compressed offline analyzer
- * (analysis/epoch_analyzer.h) linear in practice.
- *
- * Clock value 0 means "never" everywhere in this code base, so a
- * default-constructed Epoch is the absent epoch.
- */
-class Epoch
-{
-  public:
-    Epoch() = default;
-
-    Epoch(ThreadId tid, std::uint32_t clock)
-        : raw_((static_cast<std::uint64_t>(tid) << 32) | clock)
-    {
-    }
-
-    ThreadId tid() const { return static_cast<ThreadId>(raw_ >> 32); }
-    std::uint32_t clock() const { return static_cast<std::uint32_t>(raw_); }
-
-    /** True when this epoch has ever been set (clock 0 == never). */
-    bool valid() const { return clock() != 0; }
-
-    bool operator==(const Epoch &o) const { return raw_ == o.raw_; }
-
-  private:
-    std::uint64_t raw_ = 0;
-};
 
 /** A vector clock with one 32-bit component per thread. */
 class VectorClock
@@ -114,20 +81,20 @@ class VectorClock
         return c_ == o.c_;
     }
 
-    /**
-     * True when the access stamped @p e happened-before this clock's
-     * owner (the FastTrack O(1) epoch-vs-vector comparison e <= V).
-     * An invalid (never-set) epoch trivially happened-before.
-     */
-    bool
-    knows(const Epoch &e) const
-    {
-        return !e.valid() || c_[e.tid()] >= e.clock();
-    }
-
   private:
     std::vector<std::uint32_t> c_;
 };
+
+/** Start clocks of @p n threads: each thread's own component is 1, so
+ *  clock value 0 means "never" in the histories built from them. */
+inline std::vector<VectorClock>
+initialThreadClocks(unsigned n)
+{
+    std::vector<VectorClock> vc(n, VectorClock(n));
+    for (unsigned t = 0; t < n; ++t)
+        vc[t].tick(t);
+    return vc;
+}
 
 } // namespace cord
 

@@ -5,10 +5,20 @@
  * field-for-field equivalence of the epoch-compressed analyzer,
  * witness verification, deterministic sampling, the corrupt-log gate,
  * and a cross-validation smoke run against schedule exploration.
+ *
+ * PredictGolden pins the predictor's full output with an FNV-1a
+ * digest.  It changes only with a *semantic* change to prediction or
+ * to the recorded workloads, never with a data-structure swap; then
+ * re-record with
+ *   CORD_PRINT_GOLDEN=1 ./tests/test_predict --gtest_filter='PredictGolden.*'
+ * and update the constant together with a CHANGES.md note (the same
+ * rule as tests/determinism_golden_test.cpp).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <tuple>
 
@@ -18,6 +28,7 @@
 #include "analysis/predict.h"
 #include "analysis/xval.h"
 #include "cord/cord_detector.h"
+#include "cord/ideal_detector.h"
 #include "cord/log_codec.h"
 #include "harness/runner.h"
 #include "harness/trace.h"
@@ -203,7 +214,85 @@ TEST(EpochCompression, FieldIdenticalToFullVectors)
         EXPECT_EQ(epoch.racyWords(), full.racyWords());
         for (const HbRace &r : full.races())
             EXPECT_TRUE(epoch.racyEndpoint(r.tick, r.word, r.accessor));
+
+        // The online front end of the same core agrees with the
+        // offline pass on every trace.
+        IdealDetector ideal(epoch.numThreads());
+        runDetectorOnTrace(rec.trace, ideal);
+        EXPECT_EQ(ideal.races().pairs(), epoch.pairs());
+        EXPECT_EQ(ideal.races().words(), epoch.racyWords());
     }
+}
+
+/** Hand-built 70-thread trace: wider than the 64-bit accessor masks,
+ *  with racing endpoints on both sides of thread 64. */
+DecodedTrace
+wideTrace()
+{
+    constexpr unsigned kThreads = 70;
+    constexpr Addr kShared = 0x1000, kPair = 0x2000, kLocked = 0x3000,
+                   kLock = 0x4000;
+    DecodedTrace t;
+    std::vector<std::uint64_t> instrs(kThreads, 0);
+    Tick tick = 0;
+    auto ev = [&](ThreadId tid, Addr addr, AccessKind kind) {
+        MemEvent e;
+        e.tick = tick += 10;
+        e.tid = tid;
+        e.addr = addr;
+        e.kind = kind;
+        e.instrCount = ++instrs[tid];
+        t.events.push_back(e);
+    };
+    // Every thread reads kShared, then thread 64 writes it: one
+    // write-after-read race per other thread, 0..63 and 65..69.
+    for (ThreadId u = 0; u < kThreads; ++u)
+        ev(u, kShared, AccessKind::DataRead);
+    ev(64, kShared, AccessKind::DataWrite);
+    // Unordered writes from threads above 64, then a low thread reads.
+    ev(65, kPair, AccessKind::DataWrite);
+    ev(69, kPair, AccessKind::DataWrite);
+    ev(3, kPair, AccessKind::DataRead);
+    ev(66, kPair, AccessKind::DataWrite);
+    // Lock-ordered handoff between high threads: no race.
+    ev(67, kLocked, AccessKind::DataWrite);
+    ev(67, kLock, AccessKind::SyncWrite);
+    ev(68, kLock, AccessKind::SyncRead);
+    ev(68, kLocked, AccessKind::DataWrite);
+    ev(68, kLocked, AccessKind::DataRead);
+    for (ThreadId u = 0; u < kThreads; ++u)
+        t.threadEnds.emplace_back(u, instrs[u]);
+    return t;
+}
+
+TEST(EpochCompression, WideMachineBeyondSixtyFourThreads)
+{
+    const DecodedTrace t = wideTrace();
+    const HbAnalysis full = HbAnalysis::analyze(t);
+    const HbAnalysis epoch = analyzeEpochCompressed(t);
+    ASSERT_EQ(full.numThreads(), 70u);
+    EXPECT_EQ(epoch.numThreads(), full.numThreads());
+
+    // 69 readers race the write of thread 64; on kPair, 69 vs 65,
+    // 3 vs 69 and 65, then 66 vs 65, 69 (writes) and 3 (read).
+    ASSERT_EQ(full.pairs(), 69u + 1u + 2u + 3u);
+    EXPECT_EQ(full.racyWords(), (std::set<Addr>{0x1000, 0x2000}));
+    bool highOther = false;
+    for (const HbRace &r : full.races())
+        highOther = highOther || r.other >= 64;
+    EXPECT_TRUE(highOther);
+
+    ASSERT_EQ(epoch.pairs(), full.pairs());
+    for (std::size_t i = 0; i < full.races().size(); ++i)
+        EXPECT_EQ(keyOf(epoch.races()[i]), keyOf(full.races()[i]));
+    EXPECT_EQ(epoch.racyWords(), full.racyWords());
+    for (const HbRace &r : full.races())
+        EXPECT_TRUE(epoch.racyEndpoint(r.tick, r.word, r.accessor));
+
+    IdealDetector ideal(70);
+    runDetectorOnTrace(t, ideal);
+    EXPECT_EQ(ideal.races().pairs(), full.pairs());
+    EXPECT_EQ(ideal.races().words(), full.racyWords());
 }
 
 TEST(EpochCompression, DerivesThreadsBeyondDeclaredCount)
@@ -242,6 +331,75 @@ TEST(PredictWitness, AllMaterializedWitnessesVerify)
     ASSERT_GT(bad.cutoffs[tid], 0u);
     bad.cutoffs[tid] -= 1;
     EXPECT_FALSE(verifyWitness(rec.trace, bad));
+}
+
+/** FNV-1a, folded one integer at a time. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+/** Digest of everything a prediction pass reports: every race field
+ *  in order, the racy words, and every witness. */
+void
+digestPrediction(std::uint64_t &h, const PredictiveAnalysis &p)
+{
+    fnvMix(h, p.pairs());
+    for (const PredictedRace &r : p.races()) {
+        fnvMix(h, r.tick);
+        fnvMix(h, r.word);
+        fnvMix(h, r.accessor);
+        fnvMix(h, static_cast<std::uint64_t>(r.kind));
+        fnvMix(h, r.other);
+        fnvMix(h, r.otherTick);
+        fnvMix(h, r.otherWasWrite);
+    }
+    fnvMix(h, p.racyWords().size());
+    for (Addr w : p.racyWords())
+        fnvMix(h, w);
+    fnvMix(h, p.witnesses().size());
+    for (const RaceWitness &w : p.witnesses()) {
+        fnvMix(h, w.word);
+        fnvMix(h, w.firstIndex);
+        fnvMix(h, w.secondIndex);
+        fnvMix(h, w.cutoffs.size());
+        for (std::uint64_t c : w.cutoffs)
+            fnvMix(h, c);
+    }
+}
+
+// Recorded before prediction moved onto the shared access-history
+// core; see the file comment for the re-record rule.
+constexpr std::uint64_t kGoldenPredict = 0x4f4697b3f514939aULL;
+
+TEST(PredictGolden, DigestOfInjectedRecordings)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::uint64_t predicted = 0;
+    for (const char *app : {"fft", "lu", "radix", "water-n2"}) {
+        const InjectionPick pick{1, 2};
+        const Recording rec = record(app, 11, 2, &pick);
+        ASSERT_TRUE(rec.completed) << app;
+        for (unsigned rate : {1u, 3u}) {
+            PredictOptions opt;
+            opt.sampleRate = rate;
+            const PredictiveAnalysis p =
+                PredictiveAnalysis::analyze(rec.trace, 0, opt);
+            predicted += p.pairs();
+            digestPrediction(h, p);
+        }
+    }
+    EXPECT_GT(predicted, 0u);
+    const char *print = std::getenv("CORD_PRINT_GOLDEN");
+    if (print && *print && *print != '0')
+        std::fprintf(stderr, "GOLDEN kGoldenPredict = 0x%016llxULL\n",
+                     static_cast<unsigned long long>(h));
+    EXPECT_EQ(h, kGoldenPredict)
+        << "predictive analysis output changed vs. the golden";
 }
 
 TEST(PredictSampling, DeterministicAndAccounted)

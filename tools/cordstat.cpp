@@ -32,15 +32,21 @@
  * are identical for every N.  Defaults to CORD_JOBS, else 1.
  *
  * Exit codes: 0 ok / no differences, 1 differences or invalid trace,
- * 2 usage or I/O error.  Schemas: docs/OBSERVABILITY.md.
+ * 2 usage or I/O error.  A malformed number (--jobs not a plain
+ * unsigned integer; --tol, --max-regress or --min-ratio not a finite,
+ * non-negative decimal) is a usage error.  Schemas:
+ * docs/OBSERVABILITY.md.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -75,6 +81,37 @@ usage()
 }
 
 unsigned g_jobs = 1; //!< --jobs: manifest parse/flatten workers
+
+[[noreturn]] void
+badNumber(const char *flag, const char *text, const char *expected)
+{
+    std::fprintf(stderr, "cordstat: %s expects %s, got '%s'\n", flag,
+                 expected, text);
+    std::exit(2);
+}
+
+/** --jobs: a strict unsigned count (0 = one per hardware thread). */
+unsigned
+parseJobs(const char *text)
+{
+    const std::optional<std::uint64_t> v = parseCount(text);
+    if (!v || *v > std::numeric_limits<unsigned>::max())
+        badNumber("--jobs", text, "an unsigned integer");
+    return static_cast<unsigned>(*v);
+}
+
+/** --tol, --max-regress, --min-ratio: the whole text must be one
+ *  finite, non-negative decimal number. */
+double
+parseDecimal(const char *flag, const char *text)
+{
+    const char *end = text + std::strlen(text);
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0.0)
+        badNumber(flag, text, "a finite non-negative number");
+    return v;
+}
 
 bool
 readFile(const std::string &path, std::string &out)
@@ -857,20 +894,19 @@ main(int argc, char **argv)
     std::vector<std::string> paths;
     for (int i = argStart; i < argc; ++i) {
         if (std::strcmp(argv[i], "--tol") == 0 && i + 1 < argc)
-            tolPct = std::atof(argv[++i]);
+            tolPct = parseDecimal("--tol", argv[++i]);
         else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            g_jobs = resolveJobs(
-                static_cast<unsigned>(std::atoi(argv[++i])));
+            g_jobs = resolveJobs(parseJobs(argv[++i]));
         else if (std::strcmp(argv[i], "--db") == 0 && i + 1 < argc)
             db = argv[++i];
         else if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc)
             metric = argv[++i];
         else if (std::strcmp(argv[i], "--max-regress") == 0 &&
                  i + 1 < argc)
-            maxRegressPct = std::atof(argv[++i]);
+            maxRegressPct = parseDecimal("--max-regress", argv[++i]);
         else if (std::strcmp(argv[i], "--min-ratio") == 0 &&
                  i + 1 < argc)
-            minRatio = std::atof(argv[++i]);
+            minRatio = parseDecimal("--min-ratio", argv[++i]);
         else if (std::strcmp(argv[i], "--summary") == 0)
             summary = true;
         else
