@@ -50,22 +50,25 @@ ReplayGate::allowance(ThreadId tid, std::uint64_t want)
     return want < remaining ? want : remaining;
 }
 
-void
+bool
 ReplayGate::onRetired(ThreadId tid, std::uint64_t n)
 {
     cord_assert(tid < threads_.size(), "unknown thread ", tid);
     ThreadLog &me = threads_[tid];
     if (me.cur >= me.fragments.size()) {
         overrun_ += n;
-        return;
+        return false;
     }
     me.consumed += n;
     cord_assert(me.consumed <= me.fragments[me.cur].instrs,
                 "retired past the current fragment");
-    if (me.consumed == me.fragments[me.cur].instrs) {
-        ++me.cur;
-        me.consumed = 0;
-    }
+    if (me.consumed < me.fragments[me.cur].instrs)
+        return false;
+    // Fragment complete: this thread's clock advances, which may
+    // unblock every thread waiting on a larger clock.
+    ++me.cur;
+    me.consumed = 0;
+    return true;
 }
 
 bool

@@ -39,7 +39,10 @@ class ReplayGate : public ExecutionGate
     ReplayGate(const OrderLog &log, unsigned numThreads);
 
     std::uint64_t allowance(ThreadId tid, std::uint64_t want) override;
-    void onRetired(ThreadId tid, std::uint64_t n) override;
+
+    /** @return true exactly when @p tid's current fragment completes:
+     *  the only event that can raise another thread's allowance. */
+    bool onRetired(ThreadId tid, std::uint64_t n) override;
 
     /** Instructions retired past the end of a thread's log (should be
      *  zero for a faithful replay of a complete log). */

@@ -113,7 +113,7 @@ Simulation::coreStep(CoreId c)
         // Compare-and-wrap instead of % n: this runs once per core
         // wake-up and the hardware divide was visible in profiles.
         core.rr = (core.rr + 1 < n) ? core.rr + 1 : 0;
-        if (t.finished || t.waiting || t.blocked || !t.spawned)
+        if (t.finished || t.waiting || t.parked || !t.spawned)
             continue;
         if (runThread(t))
             return; // one in-flight operation per (blocking) core
@@ -127,12 +127,13 @@ Simulation::coreStepPolicy(CoreId c)
     core.eventScheduled = false;
     // Every iteration either consumes the core slot (an operation goes
     // in flight) or retires a thread from this core's runnable set --
-    // runThread returns false only when the thread finished or
-    // migrated away -- so the loop is bounded by the threads pinned
-    // here at entry.  A full rescan after a false return (instead of
-    // the default path's shrinking probe window) guarantees a runnable
-    // thread is never stranded on an otherwise idle core, which a
-    // policy picking beyond the first candidate could otherwise cause.
+    // runThread returns false only when the thread finished, migrated
+    // away or parked on the gate -- so the loop is bounded by the
+    // threads pinned here at entry.  A full rescan after a false
+    // return (instead of the default path's shrinking probe window)
+    // guarantees a runnable thread is never stranded on an otherwise
+    // idle core, which a policy picking beyond the first candidate
+    // could otherwise cause.
     std::size_t guard = core.threads.size();
     for (;;) {
         const std::size_t n = core.threads.size();
@@ -149,7 +150,7 @@ Simulation::coreStepPolicy(CoreId c)
         for (std::size_t probe = 0; probe < n; ++probe) {
             const std::size_t pos = (core.rr + probe) % n;
             const Thread &t = *threads_[core.threads[pos]];
-            if (t.finished || t.waiting || t.blocked || !t.spawned)
+            if (t.finished || t.waiting || t.parked || !t.spawned)
                 continue;
             candPos_.push_back(pos);
             candTids_.push_back(t.tid);
@@ -201,17 +202,12 @@ Simulation::runThread(Thread &t)
             if (gate_)
                 chunk = gate_->allowance(t.tid, chunk);
             if (chunk == 0) {
-                // Gate-blocked: retry after a short delay.
-                t.blocked = true;
-                events_.scheduleIn(kGateRetryTicks, [this, &t] {
-                    t.blocked = false;
-                    scheduleCore(t.core);
-                });
-                return true;
+                park(t);
+                return false; // slot free for another thread
             }
             t.instrs += chunk;
-            if (gate_)
-                gate_->onRetired(t.tid, chunk);
+            if (gate_ && gate_->onRetired(t.tid, chunk))
+                wakeParked();
             t.computeRemaining -= static_cast<std::uint32_t>(chunk);
             const Tick cost = std::max<Tick>(
                 1, (chunk + cfg_.issueWidth - 1) / cfg_.issueWidth);
@@ -257,12 +253,8 @@ Simulation::runThread(Thread &t)
           case OpType::Store:
           case OpType::Rmw:
             if (gate_ && gate_->allowance(t.tid, 1) == 0) {
-                t.blocked = true;
-                events_.scheduleIn(kGateRetryTicks, [this, &t] {
-                    t.blocked = false;
-                    scheduleCore(t.core);
-                });
-                return true;
+                park(t);
+                return false; // slot free for another thread
             }
             issueMemOp(t);
             return true;
@@ -271,12 +263,32 @@ Simulation::runThread(Thread &t)
 }
 
 void
+Simulation::park(Thread &t)
+{
+    t.parked = true;
+    parked_.push_back(&t);
+}
+
+void
+Simulation::wakeParked()
+{
+    // The woken cores run at the current tick (kPriCore), after the
+    // event retiring this fragment; gated completions stay at now + 1,
+    // so commits keep their issue order.
+    for (Thread *t : parked_) {
+        t->parked = false;
+        scheduleCore(t->core);
+    }
+    parked_.clear();
+}
+
+void
 Simulation::issueMemOp(Thread &t)
 {
     const OpRequest op = t.drv.pending();
     t.instrs += 1;
-    if (gate_)
-        gate_->onRetired(t.tid, 1);
+    if (gate_ && gate_->onRetired(t.tid, 1))
+        wakeParked();
 
     // An RMW needs ownership like a store; a failed CAS is modeled with
     // store timing too (the line is fetched exclusively either way).
@@ -423,9 +435,14 @@ Simulation::run(Tick maxTicks)
     const auto dispatchStart = std::chrono::steady_clock::now();
     std::uint64_t steps = 0;
     while (!allFinished()) {
-        if (events_.empty())
+        if (events_.empty()) {
+            // Every live thread is parked on the gate and no retirement
+            // is left to wake one: the gate deadlocked, like a hang.
+            if (!parked_.empty())
+                return false;
             cord_panic("event queue drained with ", finishedThreads_,
                        " of ", threads_.size(), " threads finished");
+        }
         if (events_.now() > maxTicks)
             return false;
         events_.step();

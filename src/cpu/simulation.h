@@ -36,7 +36,15 @@ namespace cord
  * Controls instruction retirement (deterministic replay).
  *
  * allowance() asks how many of the next @p want instructions thread
- * @p tid may retire right now; 0 means the thread must wait and retry.
+ * @p tid may retire right now.  0 parks the thread: it leaves its
+ * core's runnable set and no event is scheduled for it.  It stays
+ * parked until some onRetired() call returns true, which unparks every
+ * parked thread and reschedules its core at the current tick, where it
+ * asks allowance() again.  A gate must therefore return true whenever
+ * a retirement may have raised another thread's allowance; returning
+ * true more often only costs re-checks.  A run whose live threads are
+ * all parked has no event left to make progress: run() ends it and
+ * returns false, as it does when the watchdog fires.
  */
 class ExecutionGate
 {
@@ -45,8 +53,9 @@ class ExecutionGate
 
     virtual std::uint64_t allowance(ThreadId tid, std::uint64_t want) = 0;
 
-    /** @p n instructions were retired by @p tid. */
-    virtual void onRetired(ThreadId tid, std::uint64_t n) = 0;
+    /** @p n instructions were retired by @p tid.
+     *  @return true when another thread's allowance may have grown */
+    virtual bool onRetired(ThreadId tid, std::uint64_t n) = 0;
 };
 
 /** One simulated execution of a set of thread coroutines. */
@@ -94,7 +103,8 @@ class Simulation : public CordTrafficSink
     /**
      * Run until every thread finishes or @p maxTicks elapses.
      * @return true when all threads finished (false = watchdog fired,
-     *         e.g. an injected synchronization removal caused a hang)
+     *         e.g. an injected synchronization removal caused a hang,
+     *         or every live thread is parked on the gate)
      */
     bool run(Tick maxTicks = kMaxTick);
 
@@ -169,7 +179,7 @@ class Simulation : public CordTrafficSink
         std::uint64_t nextMigration = 0; //!< instr count of next move
         bool spawned = false;
         bool waiting = false; //!< an op or compute chunk is in flight
-        bool blocked = false; //!< gate-blocked; retry event pending
+        bool parked = false;  //!< gate-blocked; on parked_, no event
         bool finished = false;
     };
 
@@ -211,8 +221,15 @@ class Simulation : public CordTrafficSink
 
     void foldChecksum(Thread &t, Addr addr, std::uint64_t value);
 
-    /** Gate-retry delay when a thread is blocked (replay only). */
-    static constexpr Tick kGateRetryTicks = 32;
+    /// @{ @name Gate slow paths (replay only), out of line and cold so
+    /// the un-gated hot path stays as it is
+    /** Take gate-blocked @p t off its core until the gate may let it
+     *  go; no event is scheduled for it. */
+    [[gnu::noinline, gnu::cold]] void park(Thread &t);
+
+    /** Unpark every parked thread and reschedule its core now. */
+    [[gnu::noinline, gnu::cold]] void wakeParked();
+    /// @}
 
     MachineConfig cfg_;
     EventQueue events_;
@@ -224,6 +241,7 @@ class Simulation : public CordTrafficSink
     std::vector<Core> cores_;
     std::vector<Detector *> detectors_;
     ExecutionGate *gate_ = nullptr;
+    std::vector<Thread *> parked_; //!< gate-blocked threads, park order
     SchedulePolicy *sched_ = nullptr;
     ScheduleLog *schedRec_ = nullptr;
     std::vector<std::size_t> candPos_;  //!< scratch: candidate slots

@@ -63,7 +63,9 @@ struct RunSetup
 /** What one run produced. */
 struct RunOutcome
 {
-    bool completed = false; //!< false = watchdog fired (hang)
+    /** false = watchdog fired (hang), or every live thread is parked
+     *  on the gate (Simulation::run) */
+    bool completed = false;
     Tick ticks = 0;
     std::uint64_t accesses = 0;
     std::uint64_t events = 0; //!< kernel events executed (host work)

@@ -9,12 +9,15 @@
  *  - injected synchronization removals produce Ideal-visible races in
  *    a reasonable fraction of runs;
  *  - the order log replays the execution exactly (per-thread read
- *    value checksums match under an adversarial machine configuration).
+ *    value checksums match under an adversarial machine configuration);
+ *  - replay costs about as many kernel events as the recorded run: a
+ *    gate-blocked thread parks instead of polling.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "cord/cord_detector.h"
 #include "cord/ideal_detector.h"
@@ -28,6 +31,17 @@ namespace cord
 {
 namespace
 {
+
+/** gtest name for a workload parameter ("water-n2" -> "water_n2"). */
+std::string
+appTestName(const ::testing::TestParamInfo<std::string> &p)
+{
+    std::string n = p.param;
+    for (auto &c : n)
+        if (c == '-')
+            c = '_';
+    return n;
+}
 
 class CleanRun : public ::testing::TestWithParam<std::string>
 {
@@ -123,15 +137,55 @@ TEST_P(CleanRun, ReplayReproducesReadValues)
     }
 }
 
+class ReplayCost : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(ReplayCost, ReplayEventsStayNearTheRecordedRun)
+{
+    // The Figure-11 machine at computeScale 256: long compute chunks
+    // keep threads gate-blocked for hundreds of ticks at a time, so
+    // any cost paid per blocked tick would multiply the replay's
+    // kernel events.  The event count is deterministic, so this is a
+    // cost bound with no timing in it.
+    RunSetup rec;
+    rec.workload = GetParam();
+    rec.params.scale = 1;
+    rec.params.seed = 11;
+    rec.machine.computeScale = 256;
+    CordDetector recorder(
+        CordConfig::forMachine(rec.machine, rec.params.numThreads));
+    rec.detectors = {&recorder};
+    rec.timingCord = &recorder;
+    const RunOutcome recOut = runWorkload(rec);
+    ASSERT_TRUE(recOut.completed);
+
+    ReplayGate gate(recorder.orderLog(), rec.params.numThreads);
+    RunSetup rep;
+    rep.workload = rec.workload;
+    rep.params = rec.params;
+    rep.machine = rec.machine;
+    rep.gate = &gate;
+    rep.maxTicks = recOut.ticks * 500 + 10000000;
+    const RunOutcome repOut = runWorkload(rep);
+    ASSERT_TRUE(repOut.completed);
+    EXPECT_EQ(gate.overrunInstrs(), 0u);
+    EXPECT_TRUE(gate.drained());
+    EXPECT_EQ(repOut.readChecksums, recOut.readChecksums);
+
+    EXPECT_LE(static_cast<double>(repOut.events),
+              1.5 * static_cast<double>(recOut.events))
+        << GetParam() << ": replay executed " << repOut.events
+        << " kernel events against " << recOut.events << " recorded";
+}
+
+INSTANTIATE_TEST_SUITE_P(Splash, ReplayCost,
+                         ::testing::ValuesIn(workloadNames("splash")),
+                         appTestName);
+
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, CleanRun,
                          ::testing::ValuesIn(workloadNames()),
-                         [](const auto &param_info) {
-                             std::string n = param_info.param;
-                             for (auto &c : n)
-                                 if (c == '-')
-                                     c = '_';
-                             return n;
-                         });
+                         appTestName);
 
 TEST(Injection, RemovalsManifestAsIdealRaces)
 {

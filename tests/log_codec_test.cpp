@@ -3,16 +3,20 @@
  * Unit tests for the order-log wire codec (cord/log_codec.h): the
  * 8-byte format round-trips, 64-bit clocks are reconstructed across
  * 16-bit wraparounds, and the bounded-jump invariant is enforced.
+ * A seeded mutation fuzz feeds damaged wire bytes to the lenient
+ * decoder, which must account for every byte without crashing.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 
 #include "cord/clock.h"
 #include "cord/cord_detector.h"
 #include "cord/log_codec.h"
 #include "harness/runner.h"
+#include "sim/rng.h"
 
 namespace cord
 {
@@ -212,6 +216,83 @@ TEST(LogCodecLenient, WraparoundSurvivesLenientPath)
     ASSERT_EQ(d.log.size(), log.size());
     for (std::size_t i = 0; i < log.size(); ++i)
         EXPECT_EQ(d.log.entries()[i].clock, log.entries()[i].clock);
+}
+
+/** Apply one seeded mutation: bit flips, a truncation or inserted
+ *  bytes, the damage a log suffers in storage or transit. */
+void
+mutate(std::vector<std::uint8_t> &bytes, Rng &rng)
+{
+    switch (rng.below(3)) {
+      case 0: { // flip 1-4 bits
+        const std::uint64_t flips = 1 + rng.below(4);
+        for (std::uint64_t i = 0; i < flips && !bytes.empty(); ++i)
+            bytes[rng.below(bytes.size())] ^=
+                static_cast<std::uint8_t>(1u << rng.below(8));
+        break;
+      }
+      case 1: // truncate anywhere, including to nothing
+        bytes.resize(rng.below(bytes.size() + 1));
+        break;
+      default: { // insert 1-3 random bytes, shifting the entry grid
+        const std::uint64_t n = 1 + rng.below(3);
+        for (std::uint64_t i = 0; i < n; ++i)
+            bytes.insert(bytes.begin() + static_cast<long>(
+                                             rng.below(bytes.size() + 1)),
+                         static_cast<std::uint8_t>(rng.below(256)));
+        break;
+      }
+    }
+}
+
+TEST(LogCodecFuzz, MutatedRecordingDecodesOrReportsProblems)
+{
+    CordConfig cc;
+    CordDetector recorder(cc);
+    RunSetup rec;
+    rec.workload = "fft";
+    rec.params.seed = 11;
+    rec.detectors = {&recorder};
+    ASSERT_TRUE(runWorkload(rec).completed);
+    const std::vector<std::uint8_t> wire =
+        encodeOrderLog(recorder.orderLog());
+    ASSERT_GT(wire.size(), 0u);
+    ASSERT_TRUE(decodeOrderLogLenient(wire).problems.empty());
+
+    Rng rng(0xf022c0de);
+    std::size_t reported = 0;
+    for (int m = 0; m < 2000; ++m) {
+        std::vector<std::uint8_t> bytes = wire;
+        const std::uint64_t rounds = 1 + rng.below(3);
+        for (std::uint64_t r = 0; r < rounds; ++r)
+            mutate(bytes, rng);
+
+        const LenientDecode d = decodeOrderLogLenient(bytes);
+        const std::size_t whole = bytes.size() / OrderLog::kEntryWireBytes;
+        EXPECT_EQ(d.trailingBytes,
+                  bytes.size() % OrderLog::kEntryWireBytes)
+            << "mutant " << m;
+        ASSERT_LE(d.log.size(), whole) << "mutant " << m;
+        // Every whole entry is either decoded or reported (zero
+        // instruction count), and a partial tail is one more problem:
+        // no byte is dropped silently.
+        const std::size_t expectProblems =
+            (whole - d.log.size()) + (d.trailingBytes != 0 ? 1 : 0);
+        EXPECT_EQ(d.problems.size(), expectProblems) << "mutant " << m;
+        if (!d.problems.empty())
+            ++reported;
+        // Reconstructed clocks never run backwards within a thread.
+        std::map<ThreadId, Ts64> last;
+        for (const OrderLogEntry &e : d.log.entries()) {
+            EXPECT_GT(e.instrs, 0u) << "mutant " << m;
+            Ts64 &prev = last.try_emplace(e.tid, 1).first->second;
+            EXPECT_GE(e.clock, prev) << "mutant " << m;
+            prev = e.clock;
+        }
+    }
+    // Truncations and insertions mostly break the 8-byte grid, so a
+    // fair share of the mutants must have been reported, not decoded.
+    EXPECT_GT(reported, 500u);
 }
 
 TEST(LogCodec, SaveAndLoadRoundTrip)

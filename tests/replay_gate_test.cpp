@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the replay gate (cord/replay.h): fragments execute in
- * global logical-clock order, equal clocks interleave freely, and
- * consumption/overrun accounting is exact.
+ * global logical-clock order, equal clocks interleave freely,
+ * consumption/overrun accounting is exact, and onRetired reports
+ * exactly the retirements that can wake a parked thread.  Also the
+ * engine side of the park/wake contract (cpu/simulation.h): a run
+ * whose threads are all parked ends not completed, without polling.
  */
 
 #include <gtest/gtest.h>
 
 #include "cord/replay.h"
+#include "harness/runner.h"
 
 namespace cord
 {
@@ -99,6 +103,52 @@ TEST(ReplayGate, ThreeThreadInterleaving)
     EXPECT_EQ(gate.allowance(0, 1), 0u) << "thread 1 still at clock 2";
     gate.onRetired(1, 1);
     EXPECT_EQ(gate.allowance(0, 1), 1u);
+}
+
+TEST(ReplayGate, OnRetiredReportsExactlyFragmentCompletions)
+{
+    const OrderLog log = makeLog({{0, 1, 5}, {1, 2, 3}, {0, 4, 2}});
+    ReplayGate gate(log, 3);
+    EXPECT_FALSE(gate.onRetired(2, 7)) << "thread 2 has no log at all";
+    EXPECT_FALSE(gate.onRetired(0, 2)) << "partial retirement";
+    EXPECT_FALSE(gate.onRetired(0, 2)) << "still one instruction short";
+    EXPECT_TRUE(gate.onRetired(0, 1)) << "clock-1 fragment completes";
+    EXPECT_TRUE(gate.onRetired(1, 3)) << "whole fragment in one call";
+    EXPECT_FALSE(gate.onRetired(0, 1));
+    EXPECT_TRUE(gate.onRetired(0, 1)) << "last fragment completes";
+    EXPECT_TRUE(gate.drained());
+
+    // Past the end of the log nothing completes: overrun never wakes.
+    EXPECT_FALSE(gate.onRetired(1, 4));
+    EXPECT_FALSE(gate.onRetired(0, 1));
+    EXPECT_EQ(gate.overrunInstrs(), 12u);
+}
+
+/** Test-only gate that never lets any thread retire anything. */
+class NeverGrantGate : public ExecutionGate
+{
+  public:
+    std::uint64_t allowance(ThreadId, std::uint64_t) override { return 0; }
+    bool onRetired(ThreadId, std::uint64_t) override { return false; }
+};
+
+TEST(GatedSimulation, AllThreadsParkedEndsNotCompletedWithoutPolling)
+{
+    NeverGrantGate gate;
+    RunSetup setup;
+    setup.workload = "fft";
+    setup.params.seed = 11;
+    setup.gate = &gate;
+    // Backstop only: a parked thread schedules no event, so the run
+    // must stop long before this watchdog could fire.
+    setup.maxTicks = 2000000;
+    const RunOutcome out = runWorkload(setup);
+    EXPECT_FALSE(out.completed);
+    EXPECT_EQ(out.accesses, 0u);
+    // One core event per core that has threads; every thread parks on
+    // its first operation and nothing wakes it.
+    EXPECT_LE(out.events, setup.params.numThreads);
+    EXPECT_EQ(out.ticks, 0u);
 }
 
 TEST(ReplayGateDeath, RetiringPastFragmentPanics)
