@@ -6,10 +6,9 @@
  * every application x {CORD, Ideal, VC-InfCache} detector.
  *
  * Unlike the figure reproductions, the numbers here are about *host*
- * cost, not simulated time, so this is the binary CI's perf-smoke job
- * runs to catch slowdowns: an optimized build must beat a
- * -DCORD_LEGACY_KERNEL=ON build of the same commit by the ratio the
- * workflow asserts on `perf.total.eventsPerSec`.
+ * cost, not simulated time.  CI's perf-smoke job runs it on a Release
+ * build with asserts compiled out and records `perf.total.eventsPerSec`
+ * as a trajectory entry in the bench history.
  *
  * Each cell is the median of `--repeat` timed repetitions (after
  * `--warmup` untimed ones); every repetition constructs a fresh
@@ -149,11 +148,6 @@ main(int argc, char **argv)
     manifest.setConfig("threads", std::uint64_t(kDefaultNumThreads));
     manifest.setConfig("repeat", std::uint64_t(bench::args().repeat));
     manifest.setConfig("warmup", std::uint64_t(bench::args().warmup));
-#ifdef CORD_LEGACY_KERNEL
-    manifest.setConfig("legacyKernel", std::uint64_t(1));
-#else
-    manifest.setConfig("legacyKernel", std::uint64_t(0));
-#endif
     manifest.stampTime();
 
     TextTable t({"App", "Detector", "Median(s)", "Events/s", "Ticks/s",
@@ -200,8 +194,6 @@ main(int argc, char **argv)
     }
 
     // Aggregates: total events retired over total measured seconds.
-    // `perf.total.eventsPerSec` is the number the CI perf-smoke gate
-    // compares against the legacy-kernel build.
     const double totalEps =
         totalSec > 0.0 ? static_cast<double>(totalEvents) / totalSec
                        : 0.0;

@@ -1,6 +1,7 @@
 #include "cord/log_codec.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <unordered_map>
 
@@ -190,22 +191,34 @@ saveOrderLog(const OrderLog &log, const std::string &path)
         cord_fatal("short write to '", path, "'");
 }
 
-std::vector<std::uint8_t>
-loadLogBytes(const std::string &path)
+bool
+readFileBytes(const std::string &path, std::vector<std::uint8_t> &out,
+              std::string *err)
 {
+    out.clear();
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec) {
+        if (err)
+            *err = "cannot read '" + path + "': " + ec.message();
+        return false;
+    }
     std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        cord_fatal("cannot open '", path, "' for reading");
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+    if (!f) {
+        if (err)
+            *err = "cannot open '" + path + "' for reading";
+        return false;
+    }
+    out.resize(static_cast<std::size_t>(size));
     const std::size_t read =
-        bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), f);
+        out.empty() ? 0 : std::fread(out.data(), 1, out.size(), f);
     std::fclose(f);
-    if (read != bytes.size())
-        cord_fatal("short read from '", path, "'");
-    return bytes;
+    if (read != out.size()) {
+        if (err)
+            *err = "short read from '" + path + "'";
+        return false;
+    }
+    return true;
 }
 
 } // namespace cord

@@ -83,8 +83,16 @@ bool isWireEncodable(const OrderLog &log);
 /** Encode @p log and write the wire bytes to @p path (fatal on I/O error). */
 void saveOrderLog(const OrderLog &log, const std::string &path);
 
-/** Read raw wire bytes from @p path (fatal on I/O error). */
-std::vector<std::uint8_t> loadLogBytes(const std::string &path);
+/**
+ * Read the whole regular file @p path into @p out.  The size comes from
+ * the filesystem, never from seeking: a directory or device is refused
+ * instead of sizing a buffer from a meaningless offset.  Shared by every
+ * binary-artifact loader (order logs, schedule logs, access traces).
+ * @return false (with @p err set when non-null) when the file cannot
+ *         be read in full
+ */
+bool readFileBytes(const std::string &path, std::vector<std::uint8_t> &out,
+                   std::string *err = nullptr);
 
 } // namespace cord
 

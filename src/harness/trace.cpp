@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "cord/log_codec.h"
 #include "sim/logging.h"
 
 namespace cord
@@ -36,15 +37,26 @@ putRaw(std::vector<std::uint8_t> &out, const T &v)
     out.insert(out.end(), p, p + sizeof(T));
 }
 
+/** Thread-end record: tid (u16) then total instructions (u64). */
+constexpr std::size_t kEndWireBytes =
+    sizeof(std::uint16_t) + sizeof(std::uint64_t);
+
+/** Read a T at @p off; the caller has checked the bounds. */
 template <typename T>
 T
-getRaw(const std::vector<std::uint8_t> &in, std::size_t &off)
+readAt(const std::vector<std::uint8_t> &in, std::size_t off)
 {
-    cord_assert(off + sizeof(T) <= in.size(), "truncated trace buffer");
     T v;
     std::memcpy(&v, in.data() + off, sizeof(T));
-    off += sizeof(T);
     return v;
+}
+
+bool
+fail(std::string *err, const std::string &what)
+{
+    if (err)
+        *err = what;
+    return false;
 }
 
 } // namespace
@@ -76,23 +88,50 @@ encodeTrace(const TraceRecorder &trace)
     return out;
 }
 
-DecodedTrace
-decodeTrace(const std::vector<std::uint8_t> &bytes)
+bool
+decodeTrace(const std::vector<std::uint8_t> &bytes, DecodedTrace &out,
+            std::string *err)
 {
-    std::size_t off = 0;
-    const auto magic = getRaw<std::uint32_t>(bytes, off);
-    const auto version = getRaw<std::uint32_t>(bytes, off);
-    if (magic != kMagic)
-        cord_fatal("not a CORD trace (bad magic)");
+    out = DecodedTrace{};
+    constexpr std::size_t kHeaderBytes = 24;
+    if (bytes.size() < sizeof(kMagic) ||
+        readAt<std::uint32_t>(bytes, 0) != kMagic)
+        return fail(err, "not a CORD trace (bad magic)");
+    if (bytes.size() < kHeaderBytes)
+        return fail(err, "truncated trace header (" +
+                             std::to_string(bytes.size()) + " bytes)");
+    const auto version = readAt<std::uint32_t>(bytes, 4);
     if (version != kVersion)
-        cord_fatal("unsupported trace version ", version);
-    const auto nEvents = getRaw<std::uint64_t>(bytes, off);
-    const auto nEnds = getRaw<std::uint64_t>(bytes, off);
+        return fail(err,
+                    "unsupported trace version " + std::to_string(version));
+    const auto nEvents = readAt<std::uint64_t>(bytes, 8);
+    const auto nEnds = readAt<std::uint64_t>(bytes, 16);
 
-    DecodedTrace out;
+    // Check the declared counts against the bytes actually present
+    // before reserving anything: a damaged count must be reported, not
+    // turned into a huge allocation or a read past the end.
+    const std::size_t body = bytes.size() - kHeaderBytes;
+    const std::size_t eventBytes = sizeof(WireEvent);
+    if (nEvents > body / eventBytes ||
+        nEnds > (body - nEvents * eventBytes) / kEndWireBytes)
+        return fail(err, "truncated trace: header declares " +
+                             std::to_string(nEvents) + " events and " +
+                             std::to_string(nEnds) + " thread ends, but " +
+                             std::to_string(body) +
+                             " body bytes follow");
+    const std::size_t used = nEvents * eventBytes + nEnds * kEndWireBytes;
+    if (used != body)
+        return fail(err, std::to_string(body - used) +
+                             " trailing bytes after the last thread end");
+
+    std::size_t off = kHeaderBytes;
     out.events.reserve(nEvents);
-    for (std::uint64_t i = 0; i < nEvents; ++i) {
-        const auto w = getRaw<WireEvent>(bytes, off);
+    for (std::uint64_t i = 0; i < nEvents; ++i, off += eventBytes) {
+        const auto w = readAt<WireEvent>(bytes, off);
+        if (w.kind > static_cast<std::uint8_t>(AccessKind::SyncWrite))
+            return fail(err, "corrupt trace: bad access kind " +
+                                 std::to_string(w.kind) + " at event #" +
+                                 std::to_string(i));
         MemEvent ev;
         ev.tick = w.tick;
         ev.addr = w.addr;
@@ -100,17 +139,24 @@ decodeTrace(const std::vector<std::uint8_t> &bytes)
         ev.value = w.value;
         ev.tid = w.tid;
         ev.core = w.core;
-        if (w.kind > static_cast<std::uint8_t>(AccessKind::SyncWrite))
-            cord_fatal("corrupt trace: bad access kind ", w.kind);
         ev.kind = static_cast<AccessKind>(w.kind);
         out.events.push_back(ev);
     }
-    for (std::uint64_t i = 0; i < nEnds; ++i) {
-        const auto tid = getRaw<std::uint16_t>(bytes, off);
-        const auto instrs = getRaw<std::uint64_t>(bytes, off);
-        out.threadEnds.emplace_back(tid, instrs);
-    }
-    cord_assert(off == bytes.size(), "trailing bytes in trace buffer");
+    out.threadEnds.reserve(nEnds);
+    for (std::uint64_t i = 0; i < nEnds; ++i, off += kEndWireBytes)
+        out.threadEnds.emplace_back(
+            readAt<std::uint16_t>(bytes, off),
+            readAt<std::uint64_t>(bytes, off + sizeof(std::uint16_t)));
+    return true;
+}
+
+DecodedTrace
+decodeTrace(const std::vector<std::uint8_t> &bytes)
+{
+    DecodedTrace out;
+    std::string err;
+    if (!decodeTrace(bytes, out, &err))
+        cord_fatal(err);
     return out;
 }
 
@@ -128,21 +174,13 @@ saveTrace(const TraceRecorder &trace, const std::string &path)
         cord_fatal("short write to '", path, "'");
 }
 
-DecodedTrace
-loadTrace(const std::string &path)
+bool
+loadTrace(const std::string &path, DecodedTrace &out, std::string *err)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        cord_fatal("cannot open '", path, "' for reading");
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    if (read != bytes.size())
-        cord_fatal("short read from '", path, "'");
-    return decodeTrace(bytes);
+    std::vector<std::uint8_t> bytes;
+    if (!readFileBytes(path, bytes, err))
+        return false;
+    return decodeTrace(bytes, out, err);
 }
 
 void

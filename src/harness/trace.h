@@ -61,12 +61,29 @@ struct DecodedTrace
     std::vector<std::pair<ThreadId, std::uint64_t>> threadEnds;
 };
 
+/**
+ * Parse a binary trace buffer.  The header's counts are checked against
+ * the buffer size before anything is reserved or read, so truncation,
+ * trailing bytes and damaged counts are reported, whatever the
+ * CORD_ASSERT_LEVEL.
+ * @return false (with @p err set when non-null) on malformed input
+ */
+bool decodeTrace(const std::vector<std::uint8_t> &bytes, DecodedTrace &out,
+                 std::string *err = nullptr);
+
 /** Parse a binary trace buffer (fatal on malformed input). */
 DecodedTrace decodeTrace(const std::vector<std::uint8_t> &bytes);
 
-/** Write / read a trace file. */
+/** Encode @p trace and write it to @p path (fatal on I/O error). */
 void saveTrace(const TraceRecorder &trace, const std::string &path);
-DecodedTrace loadTrace(const std::string &path);
+
+/**
+ * Read and decode the trace file @p path.
+ * @return false (with @p err set when non-null) when the file cannot
+ *         be read or does not decode
+ */
+bool loadTrace(const std::string &path, DecodedTrace &out,
+               std::string *err = nullptr);
 
 /** Drive a detector from a decoded trace (offline detection). */
 void runDetectorOnTrace(const DecodedTrace &trace, Detector &detector);

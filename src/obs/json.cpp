@@ -355,8 +355,25 @@ struct Parser
         return true;
     }
 
+    /** Nesting cap: a deeper document is rejected instead of
+     *  recursing until the stack overflows.  Our own artifacts nest
+     *  fewer than ten levels. */
+    static constexpr unsigned kMaxDepth = 256;
+    unsigned depth = 0;
+
     bool
     parseValue(JsonValue &out)
+    {
+        if (depth == kMaxDepth)
+            return fail("nesting too deep");
+        ++depth;
+        const bool ok = parseAny(out);
+        --depth;
+        return ok;
+    }
+
+    bool
+    parseAny(JsonValue &out)
     {
         switch (peek()) {
           case '{': {

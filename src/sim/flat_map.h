@@ -8,7 +8,8 @@
  * bucket array (16-byte {key, dense-index} entries probed linearly)
  * pointing into dense key/value vectors, so a hit is typically one
  * cache line of buckets plus one contiguous value access, and inserts
- * amortize to appends.
+ * amortize to appends.  find() and operator[] on a present key never
+ * allocate (guarded in tests/event_queue_test.cpp).
  *
  * Iteration (forEach) walks the dense arrays in insertion order --
  * *not* hash order -- so walking is deterministic across platforms and
@@ -32,70 +33,8 @@
 #include "sim/logging.h"
 #include "sim/types.h"
 
-#ifdef CORD_LEGACY_KERNEL
-#include <unordered_map>
-#endif
-
 namespace cord
 {
-
-#ifdef CORD_LEGACY_KERNEL
-
-/**
- * Legacy perf-reference implementation: the pre-rewrite
- * std::unordered_map, behind the same interface.  Iteration is in
- * hash order (not deterministic across standard libraries), so this
- * build is for the CI perf-smoke speedup comparison only -- see
- * CMakeLists.txt CORD_LEGACY_KERNEL.
- */
-template <typename T>
-class FlatAddrMap
-{
-  public:
-    std::size_t size() const { return m_.size(); }
-    bool empty() const { return m_.empty(); }
-
-    T *
-    find(Addr key)
-    {
-        auto it = m_.find(key);
-        return it == m_.end() ? nullptr : &it->second;
-    }
-
-    const T *
-    find(Addr key) const
-    {
-        auto it = m_.find(key);
-        return it == m_.end() ? nullptr : &it->second;
-    }
-
-    T &operator[](Addr key) { return m_[key]; }
-
-    bool erase(Addr key) { return m_.erase(key) != 0; }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
-    {
-        for (auto &[k, v] : m_)
-            fn(k, v);
-    }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &[k, v] : m_)
-            fn(k, v);
-    }
-
-    void clear() { m_.clear(); }
-
-  private:
-    std::unordered_map<Addr, T> m_;
-};
-
-#else
 
 /**
  * Flat open-addressing Addr -> T map with insertion-order iteration.
@@ -292,8 +231,6 @@ class FlatAddrMap
     std::vector<T> vals_;
     std::size_t mask_ = 0;
 };
-
-#endif // CORD_LEGACY_KERNEL
 
 } // namespace cord
 

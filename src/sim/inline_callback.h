@@ -9,14 +9,13 @@
  * EventCallback stores every simulator callback inline: the largest
  * capture on the hot path is Simulation::issueMemOp's
  * [this, &thread, OpRequest] at 56 bytes, so the 64-byte buffer covers
- * everything the timing model schedules (regression-tested by the
- * allocation-count test in tests/event_queue_test.cpp).
+ * everything the timing model schedules.  A larger capture is a compile
+ * error, not a silent per-event allocation (the steady-state allocation
+ * tests in tests/event_queue_test.cpp guard the rest of the cycle).
  *
  * Callables that are trivially copyable and destructible (all hot-path
  * lambdas) move by plain memcpy with no manager call at all; other
- * callables that fit get an inline move/destroy vtable; oversized ones
- * fall back to a heap box so the type stays fully general for tests
- * and future code.
+ * callables get an inline move/destroy vtable.
  */
 
 #ifndef CORD_SIM_INLINE_CALLBACK_H
@@ -41,23 +40,13 @@ class EventCallback
 
     EventCallback() = default;
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventCallback>>>
-    EventCallback(F &&f) // NOLINT: implicit like std::function
-    {
-        construct(std::forward<F>(f));
-    }
-
     /**
      * Destroy the held callable (if any) and store @p f in place.  The
      * event kernel uses this to build a callback directly inside its
      * arena slot, skipping the intermediate EventCallback a
      * construct-then-move would cost per scheduled event.
      */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventCallback>>>
+    template <typename F>
     void
     emplace(F &&f)
     {
@@ -65,25 +54,16 @@ class EventCallback
         construct(std::forward<F>(f));
     }
 
+    /** Move-only, and move-construct only: the kernel moves a callback
+     *  out of its slot onto the stack and grows the slot arena, and
+     *  never reassigns a live callback. */
     EventCallback(EventCallback &&other) noexcept { moveFrom(other); }
-
-    EventCallback &
-    operator=(EventCallback &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            moveFrom(other);
-        }
-        return *this;
-    }
+    EventCallback &operator=(EventCallback &&) = delete;
 
     EventCallback(const EventCallback &) = delete;
     EventCallback &operator=(const EventCallback &) = delete;
 
     ~EventCallback() { reset(); }
-
-    /** True when a callable is held. */
-    explicit operator bool() const { return invoke_ != nullptr; }
 
     void
     operator()()
@@ -108,18 +88,6 @@ class EventCallback
         [](void *obj) { static_cast<Fn *>(obj)->~Fn(); },
     };
 
-    template <typename Fn>
-    static constexpr Ops kBoxedOps = {
-        [](void *dst, void *src) {
-            std::memcpy(dst, src, sizeof(Fn *));
-        },
-        [](void *obj) {
-            Fn *fp;
-            std::memcpy(&fp, obj, sizeof(fp));
-            delete fp;
-        },
-    };
-
     template <typename F>
     void
     construct(F &&f)
@@ -127,26 +95,15 @@ class EventCallback
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_r_v<void, Fn &>,
                       "EventCallback requires a void() callable");
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            invoke_ = [](void *obj) { (*static_cast<Fn *>(obj))(); };
-            if constexpr (!std::is_trivially_copyable_v<Fn> ||
-                          !std::is_trivially_destructible_v<Fn>)
-                ops_ = &kInlineOps<Fn>;
-        } else {
-            // Cold path: box oversized captures on the heap.  Nothing
-            // the simulator schedules takes it (allocation test), but
-            // it keeps the type drop-in general.
-            Fn *p = new Fn(std::forward<F>(f));
-            std::memcpy(buf_, &p, sizeof(p));
-            invoke_ = [](void *obj) {
-                Fn *fp;
-                std::memcpy(&fp, obj, sizeof(fp));
-                (*fp)();
-            };
-            ops_ = &kBoxedOps<Fn>;
-        }
+        static_assert(sizeof(Fn) <= kInlineBytes &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "capture too large for EventCallback's inline "
+                      "buffer: capture less, or grow kInlineBytes");
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+        invoke_ = [](void *obj) { (*static_cast<Fn *>(obj))(); };
+        if constexpr (!std::is_trivially_copyable_v<Fn> ||
+                      !std::is_trivially_destructible_v<Fn>)
+            ops_ = &kInlineOps<Fn>;
     }
 
     void

@@ -2,7 +2,10 @@
  * @file
  * Unit tests for the discrete event kernel (sim/event_queue.h):
  * temporal ordering, same-tick priority ordering, insertion-order
- * tie-breaking, and the bounded run watchdog.
+ * tie-breaking, and the bounded run watchdog.  This binary also counts
+ * every heap allocation, so it holds the zero-allocation guards for all
+ * three per-access structures: the kernel's schedule/step cycle, the
+ * ValueStore (runtime/value_store.h) and FlatAddrMap (sim/flat_map.h).
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "runtime/value_store.h"
 #include "sim/event_queue.h"
+#include "sim/flat_map.h"
 
 // Count every heap allocation this binary makes so the steady-state
-// test below can assert the arena kernel's schedule/step cycle is
-// allocation-free.  Replaceable allocation functions must live at
+// tests below can assert the per-access hot paths are allocation-free.  Replaceable allocation functions must live at
 // global scope; the counting is cheap enough to leave on for the whole
 // binary.
 static std::atomic<std::uint64_t> gHeapAllocs{0};
@@ -212,9 +216,6 @@ TEST(EventQueue, GoldenSameTickSequence)
 
 TEST(EventQueue, SteadyStateScheduleStepDoesNotAllocate)
 {
-#ifdef CORD_LEGACY_KERNEL
-    GTEST_SKIP() << "legacy kernel heap-allocates per event";
-#else
     EventQueue q;
     std::uint64_t sink = 0;
     // Warm-up: grow the node heap and slot arena to steady-state
@@ -233,7 +234,54 @@ TEST(EventQueue, SteadyStateScheduleStepDoesNotAllocate)
     EXPECT_EQ(after, before)
         << "schedule/step steady state must not touch the heap";
     EXPECT_EQ(sink, 33u * 2016u); // 33 rounds x sum(0..63)
-#endif
+}
+
+TEST(ValueStore, ResidentPageLoadStoreDoesNotAllocate)
+{
+    // Two pages far apart, so the loop misses the one-entry MRU cache
+    // and takes the page-table lookup on every access.
+    ValueStore vs;
+    const Addr a = 0x1000, b = 0x800000;
+    vs.store(a, 1);
+    vs.store(b, 2);
+
+    const std::uint64_t before = gHeapAllocs.load();
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < 256; ++i) {
+        const Addr off = (i % 64) * kWordBytes;
+        vs.store(a + off, i);
+        vs.store(b + off, i + 1);
+        sum += vs.load(a + off) + vs.load(b + off);
+        sum += vs.compareAndSwap(a + off, i, i + 2).first;
+    }
+    const std::uint64_t after = gHeapAllocs.load();
+    EXPECT_EQ(after, before)
+        << "loads and stores on resident pages must not touch the heap";
+    EXPECT_EQ(vs.footprintWords(), 128u);
+    EXPECT_GT(sum, 0u);
+}
+
+TEST(FlatAddrMap, LookupOfPresentKeysDoesNotAllocate)
+{
+    FlatAddrMap<std::uint64_t> m;
+    constexpr Addr kKeys = 1000;
+    for (Addr k = 0; k < kKeys; ++k)
+        m[k * kLineBytes] = k;
+
+    const std::uint64_t before = gHeapAllocs.load();
+    std::uint64_t sum = 0;
+    for (int round = 0; round < 4; ++round) {
+        for (Addr k = 0; k < kKeys; ++k) {
+            sum += *m.find(k * kLineBytes);
+            m[k * kLineBytes] += 1;
+        }
+    }
+    const std::uint64_t after = gHeapAllocs.load();
+    EXPECT_EQ(after, before)
+        << "find/operator[] on present keys must not touch the heap";
+    EXPECT_EQ(m.size(), kKeys);
+    // sum over rounds r = 0..3 of sum(k + r) for k < 1000
+    EXPECT_EQ(sum, 4u * 499500u + 6u * kKeys);
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

@@ -16,6 +16,7 @@
 #include "cord/cord_detector.h"
 #include "cord/log_codec.h"
 #include "harness/runner.h"
+#include "mutation.h"
 #include "sim/rng.h"
 
 namespace cord
@@ -218,33 +219,6 @@ TEST(LogCodecLenient, WraparoundSurvivesLenientPath)
         EXPECT_EQ(d.log.entries()[i].clock, log.entries()[i].clock);
 }
 
-/** Apply one seeded mutation: bit flips, a truncation or inserted
- *  bytes, the damage a log suffers in storage or transit. */
-void
-mutate(std::vector<std::uint8_t> &bytes, Rng &rng)
-{
-    switch (rng.below(3)) {
-      case 0: { // flip 1-4 bits
-        const std::uint64_t flips = 1 + rng.below(4);
-        for (std::uint64_t i = 0; i < flips && !bytes.empty(); ++i)
-            bytes[rng.below(bytes.size())] ^=
-                static_cast<std::uint8_t>(1u << rng.below(8));
-        break;
-      }
-      case 1: // truncate anywhere, including to nothing
-        bytes.resize(rng.below(bytes.size() + 1));
-        break;
-      default: { // insert 1-3 random bytes, shifting the entry grid
-        const std::uint64_t n = 1 + rng.below(3);
-        for (std::uint64_t i = 0; i < n; ++i)
-            bytes.insert(bytes.begin() + static_cast<long>(
-                                             rng.below(bytes.size() + 1)),
-                         static_cast<std::uint8_t>(rng.below(256)));
-        break;
-      }
-    }
-}
-
 TEST(LogCodecFuzz, MutatedRecordingDecodesOrReportsProblems)
 {
     CordConfig cc;
@@ -265,7 +239,7 @@ TEST(LogCodecFuzz, MutatedRecordingDecodesOrReportsProblems)
         std::vector<std::uint8_t> bytes = wire;
         const std::uint64_t rounds = 1 + rng.below(3);
         for (std::uint64_t r = 0; r < rounds; ++r)
-            mutate(bytes, rng);
+            mutateBytes(bytes, rng);
 
         const LenientDecode d = decodeOrderLogLenient(bytes);
         const std::size_t whole = bytes.size() / OrderLog::kEntryWireBytes;
@@ -304,7 +278,9 @@ TEST(LogCodec, SaveAndLoadRoundTrip)
     const std::string path =
         ::testing::TempDir() + "log_codec_roundtrip.ordlog";
     saveOrderLog(log, path);
-    const std::vector<std::uint8_t> bytes = loadLogBytes(path);
+    std::vector<std::uint8_t> bytes;
+    std::string err;
+    ASSERT_TRUE(readFileBytes(path, bytes, &err)) << err;
     EXPECT_EQ(bytes, encodeOrderLog(log));
     std::remove(path.c_str());
 }
@@ -314,7 +290,9 @@ TEST(LogCodec, SaveAndLoadEmptyLog)
     const std::string path =
         ::testing::TempDir() + "log_codec_empty.ordlog";
     saveOrderLog(OrderLog{}, path);
-    EXPECT_TRUE(loadLogBytes(path).empty());
+    std::vector<std::uint8_t> bytes{1, 2, 3};
+    EXPECT_TRUE(readFileBytes(path, bytes));
+    EXPECT_TRUE(bytes.empty());
     std::remove(path.c_str());
 }
 

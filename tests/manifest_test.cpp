@@ -3,7 +3,9 @@
  * Run-manifest tests: schema round trip through the JSON parser,
  * byte-identical serialization for same-seed runs (with volatile
  * fields suppressed), and the shared table JSON emitter used by both
- * manifests and --json table output.
+ * manifests and --json table output.  A seeded mutation fuzz feeds
+ * damaged manifest bytes to the JSON parser, which must parse or reject
+ * every mutant with a message.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +13,11 @@
 #include "cord/cord_detector.h"
 #include "harness/runner.h"
 #include "harness/table.h"
+#include "mutation.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "sim/rng.h"
 
 using namespace cord;
 
@@ -120,6 +124,31 @@ TEST(Manifest, JsonSchemaRoundTrip)
     ASSERT_EQ(t.find("headers")->size(), 2u);
     ASSERT_EQ(t.find("rows")->size(), 2u);
     EXPECT_EQ(t.find("rows")->items()[1].items()[0].asString(), "3");
+}
+
+TEST(JsonFuzz, MutatedManifestParsesOrIsRejected)
+{
+    const std::string doc = manifestFromRun(11).renderJson();
+    ASSERT_TRUE(JsonValue::parse(doc).has_value());
+    const std::vector<std::uint8_t> base(doc.begin(), doc.end());
+
+    Rng rng(0x15011f22);
+    std::size_t rejected = 0;
+    for (int m = 0; m < 2000; ++m) {
+        std::vector<std::uint8_t> bytes = base;
+        const std::uint64_t rounds = 1 + rng.below(3);
+        for (std::uint64_t r = 0; r < rounds; ++r)
+            mutateBytes(bytes, rng);
+
+        const std::string text(bytes.begin(), bytes.end());
+        std::string err;
+        if (!JsonValue::parse(text, &err)) {
+            EXPECT_FALSE(err.empty()) << "mutant " << m;
+            ++rejected;
+        }
+    }
+    // Almost every truncation cuts the document short.
+    EXPECT_GT(rejected, 500u);
 }
 
 TEST(Table, JsonOutputMatchesContents)

@@ -78,6 +78,19 @@ TEST(Json, ParseRejectsGarbage)
     EXPECT_FALSE(JsonValue::parse("nulll").has_value());
 }
 
+TEST(Json, DeepNestingIsRejectedNotOverflowed)
+{
+    // A million open brackets used to recurse once per level until the
+    // stack overflowed; the parser now stops at its nesting cap.
+    std::string err;
+    EXPECT_FALSE(JsonValue::parse(std::string(1000000, '['), &err));
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+
+    // Up to the cap, nesting still parses.
+    const std::string ok = std::string(256, '[') + std::string(256, ']');
+    EXPECT_TRUE(JsonValue::parse(ok).has_value());
+}
+
 TEST(Json, ParseUnicodeEscapes)
 {
     const auto v = JsonValue::parse("\"a\\u0041\\u00e9\"");

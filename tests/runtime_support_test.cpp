@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "runtime/address_space.h"
 #include "runtime/value_store.h"
 
@@ -50,15 +48,6 @@ TEST(ValueStore, CompareAndSwapSemantics)
     EXPECT_TRUE(ok3);
     EXPECT_EQ(old3, 5u);
     EXPECT_EQ(vs.load(0x100), 9u);
-}
-
-TEST(ValueStore, ClearResets)
-{
-    ValueStore vs;
-    vs.store(0x100, 1);
-    vs.clear();
-    EXPECT_EQ(vs.load(0x100), 0u);
-    EXPECT_EQ(vs.footprintWords(), 0u);
 }
 
 TEST(ValueStore, PageBoundaryNeighborsAreIndependent)
@@ -103,20 +92,6 @@ TEST(ValueStore, InterleavedPageAccessThrashesMru)
     EXPECT_EQ(vs.load(a), 99u);
     EXPECT_EQ(vs.load(b), 1099u);
     EXPECT_EQ(vs.footprintWords(), 2u);
-}
-
-TEST(ValueStore, ForEachWordVisitsExactlyWrittenWords)
-{
-    ValueStore vs;
-    vs.store(0, 1);
-    vs.store(8, 2);
-    vs.store(4096, 3); // different page
-    std::map<Addr, std::uint64_t> seen;
-    vs.forEachWord([&](Addr a, std::uint64_t v) {
-        EXPECT_TRUE(seen.emplace(a, v).second) << "duplicate visit";
-    });
-    const std::map<Addr, std::uint64_t> want{{0, 1}, {8, 2}, {4096, 3}};
-    EXPECT_EQ(seen, want);
 }
 
 TEST(ValueStore, ManyPagesSurviveIndexRehash)

@@ -3,7 +3,9 @@
  * Unit tests for the schedule-exploration policy layer (src/sched):
  * the CSL1 schedule-log codec (including error paths), replay
  * divergence accounting, policy determinism, PCT priority mechanics,
- * and the factory's seed-derivation contract.
+ * and the factory's seed-derivation contract.  A seeded mutation fuzz
+ * feeds damaged bytes of a real recording to the codec, which must
+ * decode or reject every mutant with a message.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "harness/runner.h"
+#include "mutation.h"
 #include "sched/factory.h"
 #include "sched/pct.h"
 #include "sched/perturb.h"
@@ -132,6 +136,43 @@ TEST(ScheduleLogCodec, LoadMissingFileFails)
     EXPECT_FALSE(loadScheduleLog(
         testing::TempDir() + "definitely_missing.schedlog", out, &err));
     EXPECT_FALSE(err.empty());
+}
+
+TEST(SchedLogFuzz, MutatedRecordingDecodesOrIsRejected)
+{
+    PerturbPolicy policy(PerturbConfig{}, 7);
+    ScheduleLog recorded;
+    RunSetup run;
+    run.workload = "fft";
+    run.params.seed = 11;
+    run.sched = &policy;
+    run.recordSched = &recorded;
+    ASSERT_TRUE(runWorkload(run).completed);
+    const std::vector<std::uint8_t> wire = encodeScheduleLog(recorded);
+    ScheduleLog clean;
+    ASSERT_TRUE(decodeScheduleLog(wire, clean));
+    ASSERT_EQ(clean.size(), recorded.size());
+
+    Rng rng(0x5c4ed10c);
+    std::size_t rejected = 0;
+    for (int m = 0; m < 2000; ++m) {
+        std::vector<std::uint8_t> bytes = wire;
+        const std::uint64_t rounds = 1 + rng.below(3);
+        for (std::uint64_t r = 0; r < rounds; ++r)
+            mutateBytes(bytes, rng);
+
+        ScheduleLog out;
+        std::string err;
+        if (decodeScheduleLog(bytes, out, &err)) {
+            // Every decision costs at least one byte.
+            EXPECT_LE(out.size(), bytes.size()) << "mutant " << m;
+        } else {
+            EXPECT_FALSE(err.empty()) << "mutant " << m;
+            ++rejected;
+        }
+    }
+    // A truncation cuts off decisions the header still counts.
+    EXPECT_GT(rejected, 500u);
 }
 
 TEST(SchedReplay, ExactConsumptionHasZeroDivergence)

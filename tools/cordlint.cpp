@@ -21,10 +21,14 @@
  *     every racy word any explored schedule manifested.
  *
  * All flag parsing lives in analysis/cordlint_cli.h (unit-tested);
- * exit status: 0 = clean, 1 = findings, 2 = usage error.
+ * exit status: 0 = clean, 1 = findings, 2 = usage error, including an
+ * unreadable --log/--trace file or a malformed trace.  (A damaged
+ * order log that still reads is a finding, not a usage error: the
+ * check suite reports what is wrong with it.)
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,15 +59,43 @@ finish(const LintReport &report, const CordlintCli &cli)
     return 0;
 }
 
+/** An input file that cannot be used: one line, exit 2. */
+[[noreturn]] void
+inputError(const char *flag, const std::string &err)
+{
+    std::fprintf(stderr, "cordlint: %s: %s\n", flag, err.c_str());
+    std::exit(2);
+}
+
+DecodedTrace
+readTrace(const std::string &path)
+{
+    DecodedTrace trace;
+    std::string err;
+    if (!loadTrace(path, trace, &err))
+        inputError("--trace", err);
+    return trace;
+}
+
+std::vector<std::uint8_t>
+readLog(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    std::string err;
+    if (!readFileBytes(path, bytes, &err))
+        inputError("--log", err);
+    return bytes;
+}
+
 int
 runCheckMode(const CordlintCli &cli)
 {
     std::vector<std::uint8_t> logBytes;
     std::optional<DecodedTrace> trace;
     if (!cli.tracePath.empty())
-        trace = loadTrace(cli.tracePath);
+        trace = readTrace(cli.tracePath);
     if (!cli.logPath.empty())
-        logBytes = loadLogBytes(cli.logPath);
+        logBytes = readLog(cli.logPath);
 
     LintInput in;
     if (!cli.logPath.empty())
@@ -80,12 +112,11 @@ runCheckMode(const CordlintCli &cli)
 int
 runPredictMode(const CordlintCli &cli)
 {
-    const DecodedTrace trace = loadTrace(cli.tracePath);
+    const DecodedTrace trace = readTrace(cli.tracePath);
     LintReport report;
 
     if (!cli.logPath.empty()) {
-        const std::vector<std::uint8_t> logBytes =
-            loadLogBytes(cli.logPath);
+        const std::vector<std::uint8_t> logBytes = readLog(cli.logPath);
         if (!predictInputsValid(logBytes, trace, cli.threads, 1,
                                 report)) {
             return finish(report, cli);
