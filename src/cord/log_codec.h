@@ -46,17 +46,9 @@ bool getVarint(const std::vector<std::uint8_t> &in, std::size_t &off,
 std::vector<std::uint8_t> encodeOrderLog(const OrderLog &log);
 
 /**
- * Decode a wire-format log, reconstructing 64-bit clocks.
- * @param bytes wire bytes (size must be a multiple of 8)
- * @param initialClock the clock threads start with (CORD uses 1)
- */
-OrderLog decodeOrderLog(const std::vector<std::uint8_t> &bytes,
-                        Ts64 initialClock = 1);
-
-/**
- * Result of a lenient (non-fatal) wire decode, for offline analysis of
- * possibly-corrupt logs: whole entries are decoded best-effort and
- * every structural problem is reported instead of aborting.
+ * Result of a wire decode.  Malformed input never aborts: whole entries
+ * are decoded best-effort and every structural problem is reported, so
+ * offline analysis can read possibly-corrupt logs.
  */
 struct LenientDecode
 {
@@ -66,10 +58,12 @@ struct LenientDecode
 };
 
 /**
- * Decode without aborting on malformed input (cordlint's entry point).
- * Trailing partial entries and zero-instruction entries are recorded
- * as problems; zero-instruction entries are dropped from the log (the
- * recorder never emits them) but still advance clock reconstruction.
+ * Decode a wire-format log, reconstructing 64-bit clocks; a log the
+ * recorder wrote decodes with no problems.  Trailing partial entries
+ * and zero-instruction entries are recorded as problems;
+ * zero-instruction entries are dropped from the log (the recorder never
+ * emits them) but still advance clock reconstruction.
+ * @param initialClock the clock threads start with (CORD uses 1)
  */
 LenientDecode decodeOrderLogLenient(const std::vector<std::uint8_t> &bytes,
                                     Ts64 initialClock = 1);

@@ -6,8 +6,8 @@
  * set and prints a run summary: races found by each detector, order
  * log statistics, memory-system behaviour and (optionally) a replay
  * verification pass.  With --campaign N it instead runs a full
- * injection campaign (N uniform sync removals, as the bench_fig*
- * binaries do), optionally spread over --jobs worker threads with
+ * injection campaign (N uniform sync removals, as bench_accuracy
+ * does), optionally spread over --jobs worker threads with
  * bit-identical results for any job count.  With --explore N it runs
  * the same configuration under N schedules (schedule 0 = baseline;
  * docs/SCHEDULING.md), and --replay-sched re-executes a schedule
@@ -417,7 +417,7 @@ makeSpec(const Options &opt)
 
 /**
  * --campaign mode: a full injection campaign of the selected workload
- * (the same experiment the bench_fig* binaries run per app), sharded
+ * (the same experiment bench_accuracy runs per app), sharded
  * over --jobs workers.  With --explore M every injection is run under
  * M schedules.  With --lint every completed run's artifacts are
  * checked; exit 1 on any finding.

@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <optional>
@@ -51,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "cord/log_codec.h"
 #include "harness/exec.h"
 #include "harness/flight.h"
 #include "obs/json.h"
@@ -113,32 +115,26 @@ parseDecimal(const char *flag, const char *text)
     return v;
 }
 
-bool
-readFile(const std::string &path, std::string &out)
+/** The whole regular file @p path as text; a path that cannot be read
+ *  (missing, a directory, a short read) prints one line and exits 2. */
+std::string
+readTextOrExit(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        std::fprintf(stderr, "cordstat: cannot open %s\n", path.c_str());
-        return false;
+    std::vector<std::uint8_t> bytes;
+    std::string err;
+    if (!readFileBytes(path, bytes, &err)) {
+        std::fprintf(stderr, "cordstat: %s\n", err.c_str());
+        std::exit(2);
     }
-    char buf[65536];
-    std::size_t n;
-    out.clear();
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return true;
+    return std::string(bytes.begin(), bytes.end());
 }
 
 /** Parse @p path as JSON; exits with code 2 on failure. */
 JsonValue
 loadJson(const std::string &path)
 {
-    std::string text;
-    if (!readFile(path, text))
-        std::exit(2);
     std::string err;
-    auto v = JsonValue::parse(text, &err);
+    auto v = JsonValue::parse(readTextOrExit(path), &err);
     if (!v) {
         std::fprintf(stderr, "cordstat: %s: %s\n", path.c_str(),
                      err.c_str());
@@ -577,9 +573,7 @@ struct WatchState
 int
 cmdWatch(const std::string &path, bool summaryOnly)
 {
-    std::string text;
-    if (!readFile(path, text))
-        std::exit(2);
+    const std::string text = readTextOrExit(path);
 
     WatchState st;
     unsigned errors = 0, lines = 0;
@@ -682,13 +676,10 @@ std::vector<JsonValue>
 loadBenchHistory(const std::string &db)
 {
     std::vector<JsonValue> entries;
-    std::string text;
-    std::FILE *f = std::fopen(db.c_str(), "rb");
-    if (!f)
+    std::error_code ec;
+    if (!std::filesystem::exists(db, ec))
         return entries;
-    std::fclose(f);
-    if (!readFile(db, text))
-        std::exit(2);
+    const std::string text = readTextOrExit(db);
     std::size_t start = 0;
     unsigned lineNo = 0;
     while (start < text.size()) {
