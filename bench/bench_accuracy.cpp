@@ -240,8 +240,9 @@ main(int argc, char **argv)
               false, true, "Ablation: problem detection vs Ideal");
     rateTable(results, kRaw, ablationLabels, ablationColumns, "", false,
               false, "Ablation: raw race detection vs Ideal");
-    std::printf("\nNotes: check-filter bits are a bandwidth optimization"
-                " -- detection with and without them should match.\n"
+    std::printf("\nNotes: a filtered access also skips the memory-timestamp"
+                " order compare, so no-filters can differ; with memory"
+                " timestamps off the two match.\n"
                 "Disabling memory timestamps silently drops displaced"
                 " histories; order-recording would be incorrect\n"
                 "(see CordScenario.MemTimestampDisabledLosesOrdering in"

@@ -142,10 +142,10 @@ CordDetector::remoteSharers(CoreId core, Addr addr)
     return n;
 }
 
-CordDetector::SnoopResult
-CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock)
+void
+CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
+                    SnoopResult &sr)
 {
-    SnoopResult sr;
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
     const auto probe = [&](CoreId oc) {
@@ -207,7 +207,6 @@ CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock)
     // A write filter requires sole ownership (MESI M/E): any fetch of
     // the line by another core goes on the bus and clears it again.
     sr.lineClearForWrite = !sr.anyRemoteLine;
-    return sr;
 }
 
 void
@@ -247,23 +246,26 @@ CordDetector::invalidateRemote(CoreId core, Addr addr, Tick now)
 
 void
 CordDetector::timestampLocal(CoreId core, Addr addr, bool isWrite,
-                             Ts64 clock, const SnoopResult *snoopRes,
-                             Tick now)
+                             Ts64 clock, LineState *local,
+                             const SnoopResult *snoopRes, Tick now)
 {
     ProfWallTimer pt(ProfDomain::CordTimestamp);
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
-    LineState &ls = caches_[core].getOrInsert(
-        addr, [&](Addr victimAddr, LineState &st) {
-            foldIntoMemTs(st, victimAddr, now,
-                          FoldCause::LineDisplacement);
-            sharerRemove(victimAddr, core);
-            lineDisplacements_.inc();
-            if (EventTracer *t = EventTracer::active())
-                t->emit(TraceEventKind::HistoryDisplacement, now,
-                        kInvalidThread, core, victimAddr, 0);
-        });
-    sharerAdd(addr, core);
+    if (!local) {
+        local = &caches_[core].getOrInsert(
+            addr, [&](Addr victimAddr, LineState &st) {
+                foldIntoMemTs(st, victimAddr, now,
+                              FoldCause::LineDisplacement);
+                sharerRemove(victimAddr, core);
+                lineDisplacements_.inc();
+                if (EventTracer *t = EventTracer::active())
+                    t->emit(TraceEventKind::HistoryDisplacement, now,
+                            kInvalidThread, core, victimAddr, 0);
+            });
+        sharerAdd(addr, core);
+    }
+    LineState &ls = *local;
 
     // Find an entry already carrying this clock value.
     Entry *slot = nullptr;
@@ -410,7 +412,10 @@ CordDetector::onAccess(const MemEvent &ev)
         lastTid_[ev.core] = ev.tid;
     }
 
-    LineState *local = caches_[ev.core].find(ev.addr);
+    // Marks the line most recently used now: nothing before
+    // timestampLocal inserts into this core's cache, so the LRU order
+    // is the same as touching it there, and the set is probed once.
+    LineState *local = caches_[ev.core].touch(ev.addr);
     const bool localHit = local != nullptr;
 
     // Does this access need a race check on the bus?
@@ -436,7 +441,7 @@ CordDetector::onAccess(const MemEvent &ev)
     if (needCheck) {
         {
             ProfWallTimer pt(ProfDomain::CordCheck);
-            sr = snoop(ev.core, ev.addr, isW, clock);
+            snoop(ev.core, ev.addr, isW, clock, sr);
         }
         raceChecks_.inc();
         if (EventTracer *t = EventTracer::active())
@@ -518,7 +523,7 @@ CordDetector::onAccess(const MemEvent &ev)
     if (isW)
         invalidateRemote(ev.core, ev.addr, ev.tick);
 
-    timestampLocal(ev.core, ev.addr, isW, newClock,
+    timestampLocal(ev.core, ev.addr, isW, newClock, local,
                    needCheck ? &sr : nullptr, ev.tick);
 
     // Clock increment after every synchronization write (Section 2.4).

@@ -171,7 +171,10 @@ class CordDetector : public Detector
         bool filterW = false;
     };
 
-    /** What the snoop (race check) learned from remote caches. */
+    /** What the snoop (race check) learned from remote caches.
+     *  Filled in place on every checked access, so conflictTs is left
+     *  uninitialised: only its first min(numConflicts, 64) entries are
+     *  ever written or read. */
     struct SnoopResult
     {
         bool anyRemoteLine = false;    //!< some remote cache has the line
@@ -181,7 +184,7 @@ class CordDetector : public Detector
         Ts64 maxWriteTs = 0;           //!< max remote write ts on the word
         bool lineClearForRead = true;  //!< no remote write history in line
         bool lineClearForWrite = true; //!< no remote history at all in line
-        std::array<Ts64, 64> conflictTs{}; //!< individual conflicting ts
+        std::array<Ts64, 64> conflictTs; //!< individual conflicting ts
         unsigned numConflicts = 0;
         unsigned remoteSharers = 0;    //!< remote caches probed (p2p cost)
         /** Bitmask of the probed cores (bits for cores < 64) -- lets
@@ -190,10 +193,12 @@ class CordDetector : public Detector
         std::uint64_t remoteSharerMask = 0;
     };
 
-    /** Race check for (core, word): a broadcast snoop under snooping,
-     *  a directory-forwarded point-to-point probe of the exact sharer
-     *  set when sharer tracking is on -- bit-identical results. */
-    SnoopResult snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock);
+    /** Race check for (core, word) into @p sr, which must be freshly
+     *  default-initialised: a broadcast snoop under snooping, a
+     *  directory-forwarded point-to-point probe of the exact sharer set
+     *  when sharer tracking is on -- bit-identical results. */
+    void snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
+               SnoopResult &sr);
 
     /** Fold a displaced/invalidated line history into the main-memory
      *  timestamp bank homing @p lineA, notifying the sink on change
@@ -206,9 +211,13 @@ class CordDetector : public Detector
     void sharerAdd(Addr addr, CoreId core);
     void sharerRemove(Addr addr, CoreId core);
 
-    /** Insert the committed access into the local history. */
+    /** Insert the committed access into the local history.  @p local
+     *  is the line's state from the access's own lookup (already most
+     *  recently used, its sharer bit already set), or nullptr on a
+     *  local miss. */
     void timestampLocal(CoreId core, Addr addr, bool isWrite, Ts64 clock,
-                        const SnoopResult *snoopRes, Tick now);
+                        LineState *local, const SnoopResult *snoopRes,
+                        Tick now);
 
     /** Invalidate remote copies on a committed write (MESI BusRdX). */
     void invalidateRemote(CoreId core, Addr addr, Tick now);

@@ -35,13 +35,14 @@ namespace cord
  *
  * Reference stability: in both modes a returned StateT reference is
  * only valid until the next getOrInsert or invalidate on the same
- * cache.  Finite mode recycles tag-array slots on eviction (a stale
- * reference silently aliases a different line); infinite mode stores
- * state in dense vectors that reallocate on insert and swap on erase.
- * Callers must therefore not hold a returned reference across a
- * subsequent getOrInsert/invalidate (the no-hold-across-insert
- * contract; regression-tested with ASan in
- * tests/history_cache_test.cpp).
+ * cache.  Finite mode recycles tag-array ways: invalidate only marks
+ * the way's tag free (the state bytes stay until the way is refilled),
+ * and the next insert into that set may reuse it, so a stale reference
+ * silently aliases a different line.  Infinite mode stores state in
+ * dense vectors that reallocate on insert and swap on erase.  Callers
+ * must therefore not hold a returned reference across a subsequent
+ * getOrInsert/invalidate (the no-hold-across-insert contract;
+ * regression-tested with ASan in tests/history_cache_test.cpp).
  *
  * @tparam StateT per-line detector state
  */
@@ -73,6 +74,21 @@ class HistoryCache
     }
 
     /**
+     * Look up the line's state without allocating, marking it most
+     * recently used -- what getOrInsert does on a hit, so a caller that
+     * will update the line anyway probes the set only once.
+     */
+    StateT *
+    touch(Addr a)
+    {
+        const Addr la = lineAddr(a);
+        if (infinite_)
+            return map_.find(la);
+        auto *line = array_->touch(la);
+        return line ? &line->state : nullptr;
+    }
+
+    /**
      * Look up or allocate the line's state, updating recency.  When a
      * finite set overflows, the LRU victim's state is passed to
      * @p onEvict (signature `void(Addr, StateT &)`) before being
@@ -91,11 +107,7 @@ class HistoryCache
             return map_[la];
         if (auto *line = array_->touch(la))
             return line->state;
-        std::optional<typename CacheArray<StateT>::Line> victim;
-        auto &fresh = array_->insert(la, victim);
-        if (victim)
-            onEvict(victim->addr, victim->state);
-        return fresh.state;
+        return array_->insert(la, onEvict).state;
     }
 
     /** getOrInsert without an eviction callback. */
@@ -123,12 +135,7 @@ class HistoryCache
             map_.erase(la);
             return true;
         }
-        auto *line = array_->find(la);
-        if (!line)
-            return false;
-        onEvict(la, line->state);
-        line->valid = false;
-        return true;
+        return array_->invalidate(la, onEvict);
     }
 
     /** invalidate without an eviction callback. */
@@ -151,7 +158,7 @@ class HistoryCache
         if (infinite_) {
             map_.forEach(fn);
         } else {
-            array_->forEach([&](auto &line) { fn(line.addr, line.state); });
+            array_->forEach(fn);
         }
     }
 

@@ -57,15 +57,16 @@ VcDetector::invalidateRemote(CoreId core, Addr addr)
 
 void
 VcDetector::timestampLocal(CoreId core, Addr addr, bool isWrite,
-                           const VectorClock &tvc)
+                           const VectorClock &tvc, LineState *local)
 {
     const std::uint16_t wbit =
         static_cast<std::uint16_t>(1u << wordInLine(addr));
-    LineState &ls = caches_[core].getOrInsert(
-        addr, [&](Addr, LineState &st) {
-            foldIntoMemVc(st);
-            lineDisplacements_.inc();
-        });
+    LineState &ls = local ? *local
+                          : caches_[core].getOrInsert(
+                                addr, [&](Addr, LineState &st) {
+                                    foldIntoMemVc(st);
+                                    lineDisplacements_.inc();
+                                });
     Entry *slot = nullptr;
     for (unsigned i = 0; i < cfg_.entriesPerLine; ++i) {
         if (ls.e[i].valid && ls.e[i].vc == tvc) {
@@ -112,7 +113,9 @@ VcDetector::onAccess(const MemEvent &ev)
         static_cast<std::uint16_t>(1u << wordInLine(ev.addr));
 
     VectorClock &tvc = vc_[ev.tid];
-    const bool localHit = caches_[ev.core].find(ev.addr) != nullptr;
+    // Marks the line most recently used now, as timestampLocal would:
+    // nothing in between inserts into this core's cache.
+    LineState *local = caches_[ev.core].touch(ev.addr);
 
     // Snoop remote histories for conflicts on this word.
     bool anyRemoteLine = false;
@@ -152,7 +155,7 @@ VcDetector::onAccess(const MemEvent &ev)
 
     // Line supplied by memory: consult the memory vector timestamps,
     // never reporting races found this way.
-    if (!localHit && !anyRemoteLine && cfg_.memTimestamps) {
+    if (!local && !anyRemoteLine && cfg_.memTimestamps) {
         if (!memWriteVc_.lessEq(tvc)) {
             tvc.join(memWriteVc_);
             memVcJoins_.inc();
@@ -166,7 +169,7 @@ VcDetector::onAccess(const MemEvent &ev)
     if (isW)
         invalidateRemote(ev.core, ev.addr);
 
-    timestampLocal(ev.core, ev.addr, isW, tvc);
+    timestampLocal(ev.core, ev.addr, isW, tvc, local);
 
     // Advance own component after every synchronization write.
     if (sync && isW)

@@ -83,13 +83,15 @@ class VcDetector : public Detector
     const VectorClock &threadClock(ThreadId tid) const { return vc_[tid]; }
 
   private:
+    /** One history entry; the inline clock comes first so the small
+     *  fields pack behind it (56 bytes at up to 8 threads). */
     struct Entry
     {
-        bool valid = false;
         VectorClock vc;
+        std::uint64_t seq = 0; //!< recency for displacement decisions
         std::uint16_t readBits = 0;
         std::uint16_t writeBits = 0;
-        std::uint64_t seq = 0; //!< recency for displacement decisions
+        bool valid = false;
     };
 
     struct LineState
@@ -99,8 +101,10 @@ class VcDetector : public Detector
 
     void foldIntoMemVc(const LineState &ls);
     void invalidateRemote(CoreId core, Addr addr);
+    /** @p local: the line's state from the access's own lookup, or
+     *  nullptr on a local miss. */
     void timestampLocal(CoreId core, Addr addr, bool isWrite,
-                        const VectorClock &vc);
+                        const VectorClock &vc, LineState *local);
 
     VcConfig cfg_;
     std::vector<HistoryCache<LineState>> caches_;

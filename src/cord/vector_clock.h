@@ -9,6 +9,7 @@
 #ifndef CORD_CORD_VECTOR_CLOCK_H
 #define CORD_CORD_VECTOR_CLOCK_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -18,47 +19,116 @@
 namespace cord
 {
 
-/** A vector clock with one 32-bit component per thread. */
+/**
+ * A vector clock with one 32-bit component per thread.
+ *
+ * Up to kInlineComponents components live inline, so the clocks of
+ * small machines (every paper configuration runs 4 threads) are plain
+ * values: copying one into a history entry, displacing an entry or
+ * comparing against one neither allocates nor follows a pointer.
+ * Wider clocks keep their components in one heap array.
+ */
 class VectorClock
 {
   public:
+    /** Components stored inline; wider clocks use the heap. */
+    static constexpr unsigned kInlineComponents = 8;
+
     VectorClock() = default;
 
-    explicit VectorClock(unsigned n) : c_(n, 0) {}
+    explicit VectorClock(unsigned n) : n_(n)
+    {
+        if (onHeap())
+            heap_ = new std::uint32_t[n_]();
+    }
 
-    unsigned size() const { return static_cast<unsigned>(c_.size()); }
+    VectorClock(const VectorClock &o) : n_(o.n_)
+    {
+        if (onHeap())
+            heap_ = new std::uint32_t[n_];
+        std::copy_n(o.data(), n_, data());
+    }
+
+    VectorClock(VectorClock &&o) noexcept : n_(o.n_)
+    {
+        if (onHeap()) {
+            heap_ = o.heap_;
+            o.n_ = 0;
+        } else {
+            std::copy_n(o.inline_, n_, inline_);
+        }
+    }
+
+    VectorClock &
+    operator=(const VectorClock &o)
+    {
+        if (this == &o)
+            return *this;
+        if (n_ != o.n_) {
+            std::uint32_t *fresh =
+                o.onHeap() ? new std::uint32_t[o.n_] : nullptr;
+            release();
+            n_ = o.n_;
+            if (fresh)
+                heap_ = fresh;
+        }
+        std::copy_n(o.data(), n_, data());
+        return *this;
+    }
+
+    VectorClock &
+    operator=(VectorClock &&o) noexcept
+    {
+        if (this == &o)
+            return *this;
+        release();
+        n_ = o.n_;
+        if (onHeap()) {
+            heap_ = o.heap_;
+            o.n_ = 0;
+        } else {
+            std::copy_n(o.inline_, n_, inline_);
+        }
+        return *this;
+    }
+
+    ~VectorClock() { release(); }
+
+    unsigned size() const { return n_; }
 
     std::uint32_t
     operator[](unsigned i) const
     {
-        cord_assert(i < c_.size(), "vector clock index out of range");
-        return c_[i];
+        cord_assert(i < n_, "vector clock index out of range");
+        return data()[i];
     }
 
     /** Increment this thread's own component. */
     void
     tick(unsigned i)
     {
-        cord_assert(i < c_.size(), "vector clock index out of range");
-        ++c_[i];
+        cord_assert(i < n_, "vector clock index out of range");
+        ++data()[i];
     }
 
     /** Set one component. */
     void
     setComponent(unsigned i, std::uint32_t v)
     {
-        cord_assert(i < c_.size(), "vector clock index out of range");
-        c_[i] = v;
+        cord_assert(i < n_, "vector clock index out of range");
+        data()[i] = v;
     }
 
     /** Component-wise maximum (the classical join). */
     void
     join(const VectorClock &o)
     {
-        cord_assert(o.size() == size(), "joining mismatched vector clocks");
-        for (unsigned i = 0; i < size(); ++i) {
-            if (o.c_[i] > c_[i])
-                c_[i] = o.c_[i];
+        cord_assert(o.n_ == n_, "joining mismatched vector clocks");
+        std::uint32_t *c = data();
+        const std::uint32_t *oc = o.data();
+        for (unsigned i = 0; i < n_; ++i) {
+            if (oc[i] > c[i])
+                c[i] = oc[i];
         }
     }
 
@@ -66,10 +136,11 @@ class VectorClock
     bool
     lessEq(const VectorClock &o) const
     {
-        cord_assert(o.size() == size(),
-                    "comparing mismatched vector clocks");
-        for (unsigned i = 0; i < size(); ++i) {
-            if (c_[i] > o.c_[i])
+        cord_assert(o.n_ == n_, "comparing mismatched vector clocks");
+        const std::uint32_t *c = data();
+        const std::uint32_t *oc = o.data();
+        for (unsigned i = 0; i < n_; ++i) {
+            if (c[i] > oc[i])
                 return false;
         }
         return true;
@@ -78,11 +149,28 @@ class VectorClock
     bool
     operator==(const VectorClock &o) const
     {
-        return c_ == o.c_;
+        return n_ == o.n_ && std::equal(data(), data() + n_, o.data());
     }
 
   private:
-    std::vector<std::uint32_t> c_;
+    bool onHeap() const { return n_ > kInlineComponents; }
+
+    std::uint32_t *data() { return onHeap() ? heap_ : inline_; }
+    const std::uint32_t *data() const { return onHeap() ? heap_ : inline_; }
+
+    void
+    release()
+    {
+        if (onHeap())
+            delete[] heap_;
+    }
+
+    std::uint32_t n_ = 0;
+    union
+    {
+        std::uint32_t inline_[kInlineComponents] = {};
+        std::uint32_t *heap_;
+    };
 };
 
 /** Start clocks of @p n threads: each thread's own component is 1, so

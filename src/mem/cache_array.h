@@ -6,6 +6,13 @@
  * detectors' functional cache models (CORD/vector-clock state per line).
  * Only tags and per-line metadata are stored; data values live in the
  * global functional memory (see runtime/value_store.h).
+ *
+ * Layout: every lookup of every cache model probes one set, so the
+ * line addresses live in their own contiguous tag vector, apart from
+ * the (much larger) per-line payload.  A 4-way probe reads 32 bytes of
+ * tags and touches the payload only on a hit.  The tag vector is the
+ * only record of residency: a way is free exactly when its tag holds
+ * kInvalidTag.
  */
 
 #ifndef CORD_MEM_CACHE_ARRAY_H
@@ -13,7 +20,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "mem/geometry.h"
@@ -32,17 +38,19 @@ template <typename StateT>
 class CacheArray
 {
   public:
-    /** A resident line: tag state plus the metadata payload. */
+    /** Tag of a free way; never line-aligned, so never a real tag. */
+    static constexpr Addr kInvalidTag = ~Addr(0);
+
+    /** The payload of one way: recency plus the metadata. */
     struct Line
     {
-        bool valid = false;
-        Addr addr = 0;          //!< line-aligned address
         std::uint64_t lru = 0;  //!< larger == more recently used
         StateT state{};
     };
 
     explicit CacheArray(const CacheGeometry &geo)
-        : geo_(geo), lines_(geo.numSets() * geo.ways)
+        : geo_(geo), tags_(geo.numSets() * geo.ways, kInvalidTag),
+          lines_(tags_.size())
     {
         // Set indexing runs on every lookup of every cache model;
         // precompute shift/mask instead of dividing when the geometry
@@ -64,13 +72,8 @@ class CacheArray
     Line *
     find(Addr a)
     {
-        const Addr la = lineAddr(a);
-        auto [begin, end] = setRange(la);
-        for (std::size_t i = begin; i < end; ++i) {
-            if (lines_[i].valid && lines_[i].addr == la)
-                return &lines_[i];
-        }
-        return nullptr;
+        const std::size_t i = wayOf(lineAddr(a));
+        return i == kNoWay ? nullptr : &lines_[i];
     }
 
     const Line *
@@ -90,58 +93,84 @@ class CacheArray
     }
 
     /**
-     * Insert a line (which must not already be resident), evicting the
-     * LRU way of its set if the set is full.
+     * Insert a line (which must not already be resident) into the
+     * first free way of its set, or else over the set's LRU way.  The
+     * displaced line is passed to @p onEvict (signature
+     * `void(Addr, StateT &)`) before its way is reused.
      *
      * @param a line-aligned (or any) address
-     * @param[out] victim filled with the evicted line when one existed
      * @return reference to the newly resident line
      */
+    template <typename EvictFn>
     Line &
-    insert(Addr a, std::optional<Line> &victim)
+    insert(Addr a, EvictFn &&onEvict)
     {
         const Addr la = lineAddr(a);
-        cord_assert(!find(la), "inserting already-resident line ", la);
-        auto [begin, end] = setRange(la);
-        std::size_t slot = begin;
+        cord_assert(wayOf(la) == kNoWay, "inserting already-resident line ",
+                    la);
+        const std::size_t begin = setBegin(la);
+        const std::size_t end = begin + geo_.ways;
+        std::size_t slot = kNoWay;
         for (std::size_t i = begin; i < end; ++i) {
-            if (!lines_[i].valid) {
+            if (tags_[i] == kInvalidTag) {
                 slot = i;
                 break;
             }
-            if (lines_[i].lru < lines_[slot].lru)
-                slot = i;
         }
-        if (lines_[slot].valid)
-            victim = lines_[slot];
-        else
-            victim.reset();
-        lines_[slot] = Line{};
-        lines_[slot].valid = true;
-        lines_[slot].addr = la;
-        lines_[slot].lru = ++lruClock_;
+        if (slot == kNoWay) {
+            slot = begin;
+            for (std::size_t i = begin + 1; i < end; ++i) {
+                if (lines_[i].lru < lines_[slot].lru)
+                    slot = i;
+            }
+            onEvict(tags_[slot], lines_[slot].state);
+        }
+        tags_[slot] = la;
+        lines_[slot] = Line{++lruClock_, StateT{}};
         return lines_[slot];
     }
 
-    /** Remove a line if resident; @return true when removed. */
-    bool
-    invalidate(Addr a)
+    /** insert without an eviction callback. */
+    Line &
+    insert(Addr a)
     {
-        Line *line = find(a);
-        if (!line)
+        return insert(a, [](Addr, StateT &) {});
+    }
+
+    /**
+     * Remove a line if resident, passing its state to @p onEvict
+     * (signature `void(Addr, StateT &)`) first.
+     * @return true when removed.
+     */
+    template <typename EvictFn>
+    bool
+    invalidate(Addr a, EvictFn &&onEvict)
+    {
+        const Addr la = lineAddr(a);
+        const std::size_t i = wayOf(la);
+        if (i == kNoWay)
             return false;
-        line->valid = false;
+        onEvict(la, lines_[i].state);
+        tags_[i] = kInvalidTag;
         return true;
     }
 
-    /** Visit every resident line (e.g. the CORD cache walker). */
+    /** invalidate without an eviction callback. */
+    bool
+    invalidate(Addr a)
+    {
+        return invalidate(a, [](Addr, StateT &) {});
+    }
+
+    /** Visit every resident line as `fn(Addr, StateT &)` (e.g. the
+     *  CORD cache walker), in way order. */
     template <typename Fn>
     void
     forEach(Fn &&fn)
     {
-        for (auto &line : lines_) {
-            if (line.valid)
-                fn(line);
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if (tags_[i] != kInvalidTag)
+                fn(tags_[i], lines_[i].state);
         }
     }
 
@@ -150,26 +179,42 @@ class CacheArray
     residentCount() const
     {
         std::size_t n = 0;
-        for (const auto &line : lines_)
-            n += line.valid ? 1 : 0;
+        for (const Addr tag : tags_)
+            n += tag != kInvalidTag ? 1 : 0;
         return n;
     }
 
   private:
-    /** [begin, end) index range of the set containing @p lineAddr. */
-    std::pair<std::size_t, std::size_t>
-    setRange(Addr la) const
+    static constexpr std::size_t kNoWay = ~std::size_t(0);
+
+    /** Index of the first way of the set containing @p la. */
+    std::size_t
+    setBegin(Addr la) const
     {
         const std::size_t set =
             fastIndex_
                 ? static_cast<std::size_t>((la >> lineShift_) & setMask_)
                 : static_cast<std::size_t>((la / geo_.lineBytes) %
                                            geo_.numSets());
-        return {set * geo_.ways, (set + 1) * geo_.ways};
+        return set * geo_.ways;
+    }
+
+    /** Way holding line-aligned @p la, or kNoWay. */
+    std::size_t
+    wayOf(Addr la) const
+    {
+        const std::size_t begin = setBegin(la);
+        const Addr *tags = tags_.data() + begin;
+        for (std::size_t w = 0; w < geo_.ways; ++w) {
+            if (tags[w] == la)
+                return begin + w;
+        }
+        return kNoWay;
     }
 
     CacheGeometry geo_;
-    std::vector<Line> lines_;
+    std::vector<Addr> tags_;  //!< per way: line address or kInvalidTag
+    std::vector<Line> lines_; //!< per way, parallel to tags_
     std::uint64_t lruClock_ = 0;
     bool fastIndex_ = false;
     unsigned lineShift_ = 0;

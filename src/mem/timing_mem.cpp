@@ -1,7 +1,6 @@
 #include "mem/timing_mem.h"
 
 #include <bit>
-#include <optional>
 
 #include "obs/tracer.h"
 #include "sim/logging.h"
@@ -59,19 +58,18 @@ TimingMemSystem::remoteHolders(CoreId core, Addr line,
 }
 
 void
-TimingMemSystem::handleL2Victim(CoreId core,
-                                const CacheArray<L2State>::Line &victim,
-                                Tick now)
+TimingMemSystem::handleL2Victim(CoreId core, Addr victimAddr,
+                                const L2State &victim, Tick now)
 {
     // Inclusion: L1 copy goes with the L2 line.
-    l1_[core].invalidate(victim.addr);
+    l1_[core].invalidate(victimAddr);
     if (EventTracer *t = EventTracer::active())
         t->emit(TraceEventKind::CacheEvict, now, kInvalidThread, core,
-                victim.addr, victim.state.mesi == Mesi::Modified);
-    if (victim.state.mesi == Mesi::Modified) {
+                victimAddr, victim.mesi == Mesi::Modified);
+    if (victim.mesi == Mesi::Modified) {
         // Fire-and-forget write-back: occupies the buses but does not
         // extend the latency of the access that triggered the eviction.
-        const Tick grant = requestChannel(victim.addr).acquire(now);
+        const Tick grant = requestChannel(victimAddr).acquire(now);
         dataBus_.acquire(grant);
         memBus_.acquire(grant);
     }
@@ -114,10 +112,8 @@ TimingMemSystem::access(CoreId core, Addr addr, bool isWrite, Tick now)
         } else if (l2Line->state.mesi == Mesi::Exclusive && isWrite) {
             l2Line->state.mesi = Mesi::Modified;
         }
-        if (!l1Present) {
-            std::optional<CacheArray<char>::Line> v;
-            l1.insert(line, v);
-        }
+        if (!l1Present)
+            l1.insert(line);
         res.completion = done;
         res.source = l1Present ? ServiceSource::L1Hit : ServiceSource::L2Hit;
         ++serviceCounts_[static_cast<unsigned>(res.source)];
@@ -175,15 +171,13 @@ TimingMemSystem::access(CoreId core, Addr addr, bool isWrite, Tick now)
                 line, static_cast<std::uint64_t>(res.source));
 
     // Install the line locally.
-    std::optional<CacheArray<L2State>::Line> victim;
-    auto &fresh = l2.insert(line, victim);
-    if (victim)
-        handleL2Victim(core, *victim, now);
+    auto &fresh = l2.insert(line, [&](Addr victimAddr, L2State &victim) {
+        handleL2Victim(core, victimAddr, victim, now);
+    });
     fresh.state.mesi = isWrite ? Mesi::Modified
                      : snoopHit ? Mesi::Shared
                                 : Mesi::Exclusive;
-    std::optional<CacheArray<char>::Line> l1Victim;
-    l1.insert(line, l1Victim);
+    l1.insert(line);
 
     res.completion = done;
     return res;

@@ -136,8 +136,8 @@ class TimingMemSystem
                        std::vector<CoreId> &holders) const;
 
     /** Evict handling: write back dirty victims, maintain inclusion. */
-    void handleL2Victim(CoreId core,
-                        const CacheArray<L2State>::Line &victim, Tick now);
+    void handleL2Victim(CoreId core, Addr victimAddr,
+                        const L2State &victim, Tick now);
 
     /** Channel carrying @p line's coherence/check requests: the shared
      *  address/timestamp bus under snooping, the line's home-slice

@@ -3,10 +3,15 @@
  * Unit tests for scalar clock utilities (cord/clock.h): the 16-bit
  * sliding-window reconstruction (paper Section 2.7.5), order-race and
  * D-margin synchronization tests (Sections 2.4, 2.6), plus vector
- * clock algebra (cord/vector_clock.h).
+ * clock algebra (cord/vector_clock.h), at widths on both sides of its
+ * inline capacity.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "cord/clock.h"
 #include "cord/vector_clock.h"
@@ -170,6 +175,114 @@ TEST(VectorClock, HappensBeforeTransitivity)
     c.tick(2);
     EXPECT_TRUE(a.lessEq(c));
     EXPECT_FALSE(c.lessEq(a));
+}
+
+/** Widths on both sides of VectorClock's inline capacity: 4 and 8
+ *  stay inline, 16 and 64 use the heap. */
+class VectorClockWidth : public ::testing::TestWithParam<unsigned>
+{
+  protected:
+    /** A clock of the test width whose component i is f(i). */
+    template <typename F>
+    static VectorClock
+    make(F &&f)
+    {
+        VectorClock c(GetParam());
+        for (unsigned i = 0; i < GetParam(); ++i)
+            c.setComponent(i, f(i));
+        return c;
+    }
+};
+
+TEST_P(VectorClockWidth, StartsZeroed)
+{
+    const VectorClock c(GetParam());
+    EXPECT_EQ(c.size(), GetParam());
+    for (unsigned i = 0; i < GetParam(); ++i)
+        EXPECT_EQ(c[i], 0u) << i;
+}
+
+TEST_P(VectorClockWidth, JoinLessEqAndEquality)
+{
+    const unsigned n = GetParam();
+    VectorClock a = make([](unsigned i) { return i % 2 ? 3 * i : 1u; });
+    const VectorClock b = make([](unsigned i) { return i % 2 ? 1u : 2 * i; });
+    EXPECT_FALSE(a.lessEq(b));
+    EXPECT_FALSE(b.lessEq(a));
+    EXPECT_FALSE(a == b);
+    const VectorClock before = a;
+    a.join(b);
+    for (unsigned i = 0; i < n; ++i)
+        EXPECT_EQ(a[i], std::max(before[i], b[i])) << i;
+    EXPECT_TRUE(before.lessEq(a));
+    EXPECT_TRUE(b.lessEq(a));
+    EXPECT_FALSE(a.lessEq(before));
+    // Only the last component differs: equality and order must look at
+    // every component, including those past the inline capacity.
+    VectorClock c = a;
+    EXPECT_TRUE(c == a);
+    c.tick(n - 1);
+    EXPECT_FALSE(c == a);
+    EXPECT_TRUE(a.lessEq(c));
+    EXPECT_FALSE(c.lessEq(a));
+    // Clocks of different widths are never equal.
+    EXPECT_FALSE(VectorClock(n) == VectorClock(n + 1));
+}
+
+TEST_P(VectorClockWidth, CopyAndMoveKeepEveryComponent)
+{
+    const unsigned n = GetParam();
+    const VectorClock src = make([](unsigned i) { return 7 * i + 1; });
+
+    VectorClock copied(src);
+    EXPECT_TRUE(copied == src);
+    copied.tick(0); // a copy owns its components
+    EXPECT_EQ(src[0], 1u);
+
+    VectorClock assigned(3);
+    assigned = src;
+    EXPECT_TRUE(assigned == src);
+    VectorClock sameWidth(n);
+    sameWidth = src;
+    EXPECT_TRUE(sameWidth == src);
+    VectorClock &self = sameWidth;
+    sameWidth = self;
+    EXPECT_TRUE(sameWidth == src);
+
+    VectorClock moved(std::move(copied));
+    EXPECT_EQ(moved.size(), n);
+    EXPECT_EQ(moved[0], 2u);
+    for (unsigned i = 1; i < n; ++i)
+        EXPECT_EQ(moved[i], src[i]) << i;
+
+    VectorClock moveAssigned(80);
+    moveAssigned = std::move(moved);
+    EXPECT_EQ(moveAssigned.size(), n);
+    EXPECT_EQ(moveAssigned[n - 1], src[n - 1]);
+
+    // A moved-from clock is still a valid value to assign and destroy.
+    moved = src;
+    EXPECT_TRUE(moved == src);
+
+    std::vector<VectorClock> grown;
+    for (unsigned k = 0; k < 40; ++k) // reallocation moves every clock
+        grown.push_back(src);
+    for (const VectorClock &c : grown)
+        EXPECT_TRUE(c == src);
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndHeap, VectorClockWidth,
+                         ::testing::Values(4u, 8u, 16u, 64u));
+
+TEST(VectorClock, DefaultIsEmpty)
+{
+    VectorClock a;
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_TRUE(a == VectorClock(0));
+    a = VectorClock(16);
+    EXPECT_EQ(a.size(), 16u);
+    a = VectorClock(4);
+    EXPECT_EQ(a.size(), 4u);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "cord/history_cache.h"
@@ -139,6 +140,53 @@ TEST(HistoryCache, RecencyGoverned)
     c.getOrInsert(2 * kLineBytes, onEvict); // evicts line 1
     EXPECT_EQ(evicted.count(1 * kLineBytes), 1u);
     EXPECT_NE(c.find(0), nullptr);
+}
+
+TEST(HistoryCache, InvalidatedLineIsAMissAndItsWayIsRefilledFirst)
+{
+    HistoryCache<State> c(CacheGeometry{128, 64, 2}); // one set, 2 ways
+    std::set<Addr> evicted;
+    auto onEvict = [&](Addr a, State &) { evicted.insert(a); };
+    c.getOrInsert(0 * kLineBytes, onEvict).value = 1;
+    State &second = c.getOrInsert(1 * kLineBytes, onEvict);
+    second.value = 2;
+    // Invalidation only frees the way: the line is a miss from then on.
+    EXPECT_TRUE(c.invalidate(1 * kLineBytes));
+    EXPECT_EQ(c.find(1 * kLineBytes), nullptr);
+    EXPECT_EQ(c.residentCount(), 1u);
+    // The next fill takes the freed way (line 0 is LRU but survives)
+    // and starts from a default state.
+    State &third = c.getOrInsert(2 * kLineBytes, onEvict);
+    EXPECT_TRUE(evicted.empty());
+    EXPECT_EQ(&third, &second);
+    EXPECT_EQ(third.value, 0);
+    ASSERT_NE(c.find(0), nullptr);
+    EXPECT_EQ(c.find(0)->value, 1);
+    // A full set evicts its LRU way again.
+    c.getOrInsert(3 * kLineBytes, onEvict);
+    EXPECT_EQ(evicted, std::set<Addr>{0});
+}
+
+TEST(HistoryCache, ForEachAndResidentCountAgreeAfterMixedOps)
+{
+    HistoryCache<State> c(CacheGeometry{512, 64, 2}); // 4 sets x 2 ways
+    std::map<Addr, int> model;
+    auto onEvict = [&](Addr a, State &) { model.erase(a); };
+    for (unsigned step = 0; step < 96; ++step) {
+        const Addr a = ((step * 5) % 13) * kLineBytes;
+        if (step % 4 == 3) {
+            const bool resident = model.count(a) == 1;
+            EXPECT_EQ(c.invalidate(a, onEvict), resident);
+            EXPECT_EQ(model.count(a), 0u);
+        } else {
+            c.getOrInsert(a, onEvict).value = static_cast<int>(step);
+            model[a] = static_cast<int>(step);
+        }
+        std::map<Addr, int> seen;
+        c.forEach([&](Addr la, State &s) { seen.emplace(la, s.value); });
+        EXPECT_EQ(seen, model);
+        EXPECT_EQ(c.residentCount(), model.size());
+    }
 }
 
 } // namespace

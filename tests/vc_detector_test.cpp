@@ -33,7 +33,7 @@ class VcFeeder
         MemEvent ev;
         ev.tick = ++tick_;
         ev.tid = tid;
-        ev.core = static_cast<CoreId>(tid % 4);
+        ev.core = static_cast<CoreId>(tid % det_->config().numCores);
         ev.addr = addr;
         ev.kind = kind;
         ev.instrCount = ++instrs_[tid];
@@ -53,7 +53,7 @@ class VcFeeder
   private:
     std::unique_ptr<VcDetector> det_;
     Tick tick_ = 0;
-    std::uint64_t instrs_[16] = {};
+    std::uint64_t instrs_[64] = {};
 };
 
 VcConfig
@@ -196,6 +196,42 @@ TEST(VcDetector, WriteAfterReadConflictDetected)
     VcFeeder f(infConfig());
     f.read(0, X);
     f.write(1, X);
+    EXPECT_EQ(f.races(), 1u);
+}
+
+TEST(VcDetector, SixteenThreadsUseHeapClocks)
+{
+    // Sixteen threads on sixteen cores: twice VectorClock's inline
+    // capacity, so thread, history and memory clocks all take the heap
+    // path.  A lock handed 0 -> 1 -> ... -> 15 orders every protected
+    // write; an unprotected pair still races.
+    VcConfig cfg;
+    cfg.numCores = 16;
+    cfg.numThreads = 16;
+    VcFeeder f(cfg);
+    for (ThreadId t = 0; t < 16; ++t) {
+        if (t > 0)
+            f.acquire(t, L);
+        f.write(t, X);
+        f.release(t, L);
+    }
+    EXPECT_EQ(f.races(), 0u);
+    // The last holder has learned every earlier release (a history
+    // entry keeps the releaser's clock from before its own tick).
+    const VectorClock &last = f.det().threadClock(15);
+    ASSERT_EQ(last.size(), 16u);
+    for (ThreadId t = 0; t < 15; ++t)
+        EXPECT_EQ(last[t], 1u) << t;
+    EXPECT_EQ(last[15], 2u);
+
+    f.write(3, Y);  // thread 3 never acquired from 12 afterwards
+    f.read(12, Y);
+    EXPECT_EQ(f.races(), 1u);
+    // Thrash thread 12's L2-sized history so displaced heap clocks
+    // fold into the memory vector timestamps.
+    for (unsigned i = 0; i < 2048; ++i)
+        f.write(12, 0x4000000 + i * kLineBytes);
+    EXPECT_GT(f.det().stats().get("vc.lineDisplacements"), 0u);
     EXPECT_EQ(f.races(), 1u);
 }
 
