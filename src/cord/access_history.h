@@ -20,7 +20,12 @@
  *    check scans only threads that touched the word.  Machines wider
  *    than 64 threads scan every thread instead.
  *
- * Word lookup uses FlatAddrMap, so no access allocates per word.
+ * Words live in the 512-word pages of a PagedAddrMap
+ * (sim/paged_map.h): the common lookup is an MRU page compare plus an
+ * array index, with no per-word hash probe and no allocation once the
+ * word's page is resident.  A default Word (exclusive, both clocks 0)
+ * means "never accessed" -- thread clocks start at 1
+ * (initialThreadClocks) -- so words() counts first touches.
  *
  * Each slot can carry a caller-defined Stamp that is handed back with
  * every racing prior access.  The offline front ends stamp the trace
@@ -44,7 +49,7 @@
 #include <vector>
 
 #include "cord/vector_clock.h"
-#include "sim/flat_map.h"
+#include "sim/paged_map.h"
 #include "sim/types.h"
 
 namespace cord
@@ -82,8 +87,10 @@ class AccessHistory
         const std::uint32_t own = tvc[tid];
 
         if (w.base == kExclusive) {
-            if (w.readClock == 0 && w.writeClock == 0)
+            if (w.readClock == 0 && w.writeClock == 0) {
                 w.owner = tid;
+                ++touched_;
+            }
             if (w.owner == tid) {
                 // Same-thread fast path: no race possible.
                 if (isWrite) {
@@ -137,7 +144,7 @@ class AccessHistory
     }
 
     /** Number of distinct words with a recorded access. */
-    std::size_t words() const { return words_.size(); }
+    std::size_t words() const { return touched_; }
 
   private:
     static constexpr bool kStamped = !std::is_empty_v<Stamp>;
@@ -196,7 +203,8 @@ class AccessHistory
 
     unsigned n_;
     bool useMasks_;
-    FlatAddrMap<Word> words_;
+    PagedAddrMap<Word, kWordBytes> words_;
+    std::size_t touched_ = 0;           //!< words ever accessed
     std::vector<std::uint32_t> clocks_; //!< pooled shared-mode clocks
     std::vector<Stamp> stamps_;         //!< parallel to clocks_
 };

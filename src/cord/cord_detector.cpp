@@ -115,7 +115,7 @@ CordDetector::sharerAdd(Addr addr, CoreId core)
 {
     if (!trackSharers_)
         return;
-    sharers_[lineAddr(addr)] |= std::uint64_t(1) << core;
+    sharers_[addr] |= std::uint64_t(1) << core;
 }
 
 void
@@ -123,13 +123,8 @@ CordDetector::sharerRemove(Addr addr, CoreId core)
 {
     if (!trackSharers_)
         return;
-    const Addr la = lineAddr(addr);
-    std::uint64_t *m = sharers_.find(la);
-    if (!m)
-        return;
-    *m &= ~(std::uint64_t(1) << core);
-    if (*m == 0)
-        sharers_.erase(la);
+    if (std::uint64_t *m = sharers_.find(addr))
+        *m &= ~(std::uint64_t(1) << core);
 }
 
 unsigned
@@ -192,7 +187,7 @@ CordDetector::snoop(CoreId core, Addr addr, bool isWrite, Ts64 clock,
         // sharer set, in ascending core order -- the same cores, in
         // the same order, a broadcast scan would have found resident,
         // so the result is bit-identical to the broadcast path.
-        const std::uint64_t *mp = sharers_.find(lineAddr(addr));
+        const std::uint64_t *mp = sharers_.find(addr);
         std::uint64_t m = mp ? *mp : 0;
         m &= ~(std::uint64_t(1) << core);
         while (m != 0) {
@@ -230,7 +225,7 @@ CordDetector::invalidateRemote(CoreId core, Addr addr, Tick now)
         // Directed invalidations: only sharers can drop anything, and
         // ascending-order iteration keeps the fold sequence identical
         // to the full scan.
-        const std::uint64_t *mp = sharers_.find(lineAddr(addr));
+        const std::uint64_t *mp = sharers_.find(addr);
         std::uint64_t m = mp ? *mp : 0;
         m &= ~(std::uint64_t(1) << core);
         while (m != 0) {

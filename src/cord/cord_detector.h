@@ -20,7 +20,7 @@
 #include "cord/order_log.h"
 #include "mem/geometry.h"
 #include "mem/machine_config.h"
-#include "sim/flat_map.h"
+#include "sim/paged_map.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -249,9 +249,10 @@ class CordDetector : public Detector
     unsigned memTsBanks_ = 1;
 
     /** Line -> bitmask of cores whose history cache holds the line
-     *  (the directory's sharer set); maintained only when
-     *  cfg_.sharerProbes and numCores <= 64. */
-    FlatAddrMap<std::uint64_t> sharers_;
+     *  (the directory's sharer set; 0 = none, so lines are never
+     *  erased); maintained only when cfg_.sharerProbes and
+     *  numCores <= 64. */
+    PagedAddrMap<std::uint64_t, kLineBytes> sharers_;
     bool trackSharers_ = false;
 
     std::uint64_t eventsSeen_ = 0;

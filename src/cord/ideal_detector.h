@@ -12,6 +12,11 @@
  * execution's causality is found.  Ideal needs no endpoint back, so
  * its history slots carry no stamp.  Residency is unlimited, exactly
  * like the paper's Ideal runs (which exceeded 2 GB on some inputs).
+ *
+ * Both of its per-word tables, the access history and the sync-variable
+ * clocks, are paged (sim/paged_map.h): an access costs an MRU page
+ * compare and an array index, not a hash probe.  A sync word's clock
+ * reads as empty (size 0) until its first synchronization.
  */
 
 #ifndef CORD_CORD_IDEAL_DETECTOR_H
@@ -22,7 +27,7 @@
 #include "cord/access_history.h"
 #include "cord/detector.h"
 #include "cord/vector_clock.h"
-#include "sim/flat_map.h"
+#include "sim/paged_map.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -51,7 +56,7 @@ class IdealDetector : public Detector
     unsigned numThreads_;
     Counter dataRaces_; //!< pre-registered hot-path handle (stats.h)
     std::vector<VectorClock> vc_;
-    FlatAddrMap<VectorClock> syncVc_; //!< per sync variable
+    PagedAddrMap<VectorClock, kWordBytes> syncVc_; //!< per sync variable
     AccessHistory<NoStamp> history_;
 };
 

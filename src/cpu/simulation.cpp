@@ -23,6 +23,12 @@ Simulation::Simulation(const MachineConfig &cfg, unsigned numThreads)
         t.nextMigration = cfg_.migrationPeriodInstrs;
         cores_[t.core].threads.push_back(i);
     }
+    events_.setWakeHandler(
+        [](void *sim, std::uint32_t c) {
+            static_cast<Simulation *>(sim)->coreStep(
+                static_cast<CoreId>(c));
+        },
+        this);
 }
 
 void
@@ -94,8 +100,7 @@ Simulation::scheduleCore(CoreId c)
     if (core.eventScheduled)
         return;
     core.eventScheduled = true;
-    events_.schedule(events_.now(), [this, c] { coreStep(c); },
-                     EventQueue::kPriCore);
+    events_.wake(c);
 }
 
 void

@@ -190,7 +190,8 @@ class Simulation : public CordTrafficSink
         bool eventScheduled = false;
     };
 
-    /** Schedule a core-issue event at the current tick. */
+    /** Schedule a core-issue event at the current tick (a heap-free
+     *  EventQueue::wake, ordered like a kPriCore event). */
     void scheduleCore(CoreId c);
 
     /** Issue work for one core: pick a ready thread and advance it. */

@@ -6,14 +6,13 @@
  * tick; the commit order defined by the event queue is the machine's
  * memory order.
  *
- * Storage is page-granular: words live in dense 512-word pages indexed
- * by a flat page table (sim/flat_map.h), with a one-entry MRU cache in
- * front.  Workload accesses are heavily page-local, so the common load
- * or store is a compare plus an array index: no per-word hash-map node
- * or probe, and no heap allocation once the page is resident (the
- * allocation guard in tests/event_queue_test.cpp checks this).  A
- * per-page written bitmap keeps footprintWords() exact (a page
- * allocated by one store does not count its 511 untouched words).
+ * Storage is page-granular: words live in the 512-word pages of a
+ * PagedAddrMap (sim/paged_map.h), whose one-entry MRU page makes the
+ * common load or store a compare plus an array index, with no heap
+ * allocation once the page is resident (the allocation guard in
+ * tests/event_queue_test.cpp checks this).  A per-page written bitmap
+ * keeps footprintWords() exact (a page allocated by one store does not
+ * count its 511 untouched words).
  */
 
 #ifndef CORD_RUNTIME_VALUE_STORE_H
@@ -21,9 +20,8 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
-#include "sim/flat_map.h"
+#include "sim/paged_map.h"
 #include "sim/types.h"
 
 namespace cord
@@ -36,24 +34,22 @@ class ValueStore
     std::uint64_t
     load(Addr a) const
     {
-        const std::uint64_t w = wordIndex(a);
-        const Page *p = pageOf(w / kPageWords);
-        return p ? p->words[w % kPageWords] : 0;
+        const std::uint64_t *w = words_.find(a);
+        return w ? *w : 0;
     }
 
     void
     store(Addr a, std::uint64_t v)
     {
-        const std::uint64_t w = wordIndex(a);
-        Page &p = ensurePage(w / kPageWords);
-        const std::size_t off = w % kPageWords;
-        std::uint64_t &bits = p.written[off >> 6];
+        Words::Page &p = words_.page(a);
+        const std::size_t off = Words::slotOf(a);
+        std::uint64_t &bits = p.meta.written[off >> 6];
         const std::uint64_t bit = std::uint64_t(1) << (off & 63);
         if ((bits & bit) == 0) {
             bits |= bit;
             ++wordCount_;
         }
-        p.words[off] = v;
+        p.slots[off] = v;
     }
 
     /** Atomic compare-and-swap at commit time.
@@ -73,54 +69,16 @@ class ValueStore
     std::size_t footprintWords() const { return wordCount_; }
 
   private:
-    static constexpr std::size_t kPageWords = 512; //!< 2KB of words
-
-    struct Page
+    /** Which words of a page were ever stored to. */
+    struct Written
     {
-        std::uint64_t words[kPageWords] = {};
-        std::uint64_t written[kPageWords / 64] = {};
+        std::uint64_t written[PagedAddrMap<std::uint64_t,
+                                           kWordBytes>::kPageSlots / 64];
     };
+    using Words = PagedAddrMap<std::uint64_t, kWordBytes, Written>;
 
-    static std::uint64_t
-    wordIndex(Addr a)
-    {
-        return wordAddr(a) / kWordBytes;
-    }
-
-    /** Resident page @p pid, or nullptr.  Refreshes the MRU entry
-     *  (dense *index*, not a pointer: pages_ may reallocate later). */
-    const Page *
-    pageOf(std::uint64_t pid) const
-    {
-        if (mruPid_ == pid + 1)
-            return &pages_[mruIdx_];
-        const std::uint32_t *idx = pageIndex_.find(pid);
-        if (!idx)
-            return nullptr;
-        mruPid_ = pid + 1;
-        mruIdx_ = *idx;
-        return &pages_[*idx];
-    }
-
-    Page &
-    ensurePage(std::uint64_t pid)
-    {
-        if (const Page *p = pageOf(pid))
-            return const_cast<Page &>(*p);
-        const std::uint32_t idx =
-            static_cast<std::uint32_t>(pages_.size());
-        pages_.emplace_back();
-        pageIndex_[pid] = idx;
-        mruPid_ = pid + 1;
-        mruIdx_ = idx;
-        return pages_.back();
-    }
-
-    std::vector<Page> pages_;
-    FlatAddrMap<std::uint32_t> pageIndex_;
+    Words words_;
     std::size_t wordCount_ = 0;
-    mutable std::uint64_t mruPid_ = 0; //!< pid + 1; 0 = invalid
-    mutable std::uint32_t mruIdx_ = 0;
 };
 
 } // namespace cord

@@ -15,6 +15,14 @@
  * once the arena has grown; sift operations move only POD nodes, and
  * step() moves the callback out of its slot instead of copying the
  * event.
+ *
+ * Core wake-ups, the most frequent event, skip the heap and the arena
+ * altogether: wake() appends (seq, id) to a FIFO and step() runs the
+ * FIFO head through one registered handler whenever it precedes the
+ * heap's earliest event.  The seq comes from the heap's own counter
+ * and a wake always lands at now(), so the FIFO stays sorted and the
+ * merged order is exactly the (tick, priority, seq) order the same
+ * wake-up would have had as a kPriCore heap event.
  */
 
 #ifndef CORD_SIM_EVENT_QUEUE_H
@@ -57,7 +65,8 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Total events executed by step()/run() since construction. */
+    /** Total events executed by step()/run() since construction,
+     *  wake-ups included. */
     std::uint64_t executedEvents() const { return executed_; }
 
     /**
@@ -91,11 +100,38 @@ class EventQueue
         schedule(now_ + delta, std::forward<Fn>(fn), pri);
     }
 
+    /** Handler run for each wake-up, with its id. */
+    using WakeHandler = void (*)(void *ctx, std::uint32_t id);
+
+    /** Register the one handler every wake() dispatches to. */
+    void
+    setWakeHandler(WakeHandler fn, void *ctx)
+    {
+        wakeFn_ = fn;
+        wakeCtx_ = ctx;
+    }
+
+    /**
+     * Run the wake handler with @p id at now(), priority kPriCore:
+     * the same place in the order as `schedule(now(), ..., kPriCore)`,
+     * but with no heap node and no callback slot.
+     */
+    void
+    wake(std::uint32_t id)
+    {
+        cord_assert(wakeFn_ != nullptr, "wake() without a wake handler");
+        wakes_.push_back(Wake{packKey(kPriCore, nextSeq_++), id});
+    }
+
     /** True when no events remain. */
-    bool empty() const { return nodes_.empty(); }
+    bool empty() const { return nodes_.empty() && !wakePending(); }
 
     /** Number of pending events. */
-    std::size_t pending() const { return nodes_.size(); }
+    std::size_t
+    pending() const
+    {
+        return nodes_.size() + (wakes_.size() - wakeHead_);
+    }
 
     /**
      * Run a single event (the earliest one).
@@ -104,6 +140,20 @@ class EventQueue
     bool
     step()
     {
+        // A pending wake sits at now_, so it runs first unless the heap
+        // root is at now_ too with a smaller (priority, seq) key.
+        if (wakePending() &&
+            (nodes_.empty() || nodes_.front().when != now_ ||
+             nodes_.front().key > wakes_[wakeHead_].key)) {
+            const std::uint32_t id = wakes_[wakeHead_].id;
+            if (++wakeHead_ == wakes_.size()) {
+                wakes_.clear();
+                wakeHead_ = 0;
+            }
+            ++executed_;
+            wakeFn_(wakeCtx_, id);
+            return true;
+        }
         if (nodes_.empty())
             return false;
         const Node root = nodes_.front();
@@ -135,7 +185,9 @@ class EventQueue
         const Tick limit = (maxTicks >= kMaxTick - now_)
                                ? kMaxTick
                                : now_ + maxTicks;
-        while (!nodes_.empty() && nodes_.front().when <= limit) {
+        // Pending wakes are at now_, which never exceeds the limit.
+        while (wakePending() ||
+               (!nodes_.empty() && nodes_.front().when <= limit)) {
             step();
             ++executed;
         }
@@ -171,6 +223,15 @@ class EventQueue
     };
 
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    /** A pending wake-up: its packed (kPriCore, seq) key and id. */
+    struct Wake
+    {
+        std::uint64_t key;
+        std::uint32_t id;
+    };
+
+    bool wakePending() const { return wakeHead_ != wakes_.size(); }
 
     /** Enqueue a heap node for an already-filled slot. */
     void
@@ -245,6 +306,10 @@ class EventQueue
 
     std::vector<Node> nodes_;
     std::vector<Slot> slots_;
+    std::vector<Wake> wakes_;   //!< FIFO from wakeHead_; all at now_
+    std::size_t wakeHead_ = 0;
+    WakeHandler wakeFn_ = nullptr;
+    void *wakeCtx_ = nullptr;
     std::uint32_t freeHead_ = kNoSlot;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;

@@ -26,6 +26,7 @@
 
 #include "cord/cord_detector.h"
 #include "cord/log_codec.h"
+#include "cord/replay.h"
 #include "harness/experiments.h"
 #include "harness/runner.h"
 #include "obs/manifest.h"
@@ -301,6 +302,103 @@ TEST(DeterminismGolden, ScheduleLogBytes)
     report("kGoldenScheduleLog", fnv1a(wire));
     EXPECT_EQ(fnv1a(wire), kGoldenScheduleLog)
         << "schedule-log bytes changed vs. the pre-rewrite golden";
+}
+
+// Kernel event pins: (events, ticks, interleaving signature) of one
+// clean run on each engine path that wakes a core, recorded with core
+// wake-ups still on the event heap as kPriCore events.  Moving them to
+// EventQueue::wake must leave all three unchanged: a reordered wake-up
+// that changes the commit order, the finish tick or the event count
+// fails here.
+struct KernelPin
+{
+    std::uint64_t events;
+    Tick ticks;
+    std::uint64_t signature;
+};
+
+constexpr KernelPin kPinRoundRobin{97486, 124430, 0x62c7610355c4e2b1ULL};
+constexpr KernelPin kPinMigration{23892, 60606, 0xf6f5c3de6d994518ULL};
+constexpr KernelPin kPinPct{2960206, 2036851, 0x169aa1b201288ce4ULL};
+constexpr KernelPin kPinReplayGate{40109, 1633567, 0x9e3441b06d438306ULL};
+constexpr KernelPin kPinServer{3714, 20900, 0x26c1675802e0bc13ULL};
+
+void
+expectPinned(const char *name, const RunOutcome &out, KernelPin pin)
+{
+    ASSERT_TRUE(out.completed) << name;
+    if (printGolden())
+        std::fprintf(stderr, "GOLDEN %s = {%llu, %llu, 0x%016llxULL}\n",
+                     name, static_cast<unsigned long long>(out.events),
+                     static_cast<unsigned long long>(out.ticks),
+                     static_cast<unsigned long long>(
+                         out.interleavingSignature));
+    EXPECT_EQ(out.events, pin.events) << name;
+    EXPECT_EQ(out.ticks, pin.ticks) << name;
+    EXPECT_EQ(out.interleavingSignature, pin.signature) << name;
+}
+
+RunSetup
+pinSetup(const char *workload, unsigned threads)
+{
+    RunSetup s;
+    s.workload = workload;
+    s.params.numThreads = threads;
+    s.params.scale = 1;
+    s.params.seed = 12;
+    return s;
+}
+
+TEST(KernelEventPin, RoundRobinTwoThreadsPerCore)
+{
+    // Eight threads on four cores: Simulation::coreStep's round-robin.
+    expectPinned("kPinRoundRobin", runWorkload(pinSetup("barnes", 8)),
+                 kPinRoundRobin);
+}
+
+TEST(KernelEventPin, Migration)
+{
+    RunSetup s = pinSetup("water-sp", 4);
+    s.machine.migrationPeriodInstrs = 400; // moveThread wakes the target
+    expectPinned("kPinMigration", runWorkload(s), kPinMigration);
+}
+
+TEST(KernelEventPin, PctPolicy)
+{
+    SchedOptions opts;
+    opts.kind = SchedKind::Pct;
+    auto policy = makeSchedulePolicy(opts, /*campaignSeed=*/77,
+                                     /*runIdx=*/0, /*schedIdx=*/1);
+    RunSetup s = pinSetup("fft", 8);
+    s.sched = policy.get(); // coreStepPolicy
+    expectPinned("kPinPct", runWorkload(s), kPinPct);
+}
+
+TEST(KernelEventPin, ReplayGate)
+{
+    // The Figure-11 machine at computeScale 256 keeps threads parked on
+    // the gate, so wakeParked reschedules cores.
+    RunSetup rec = pinSetup("lu", 4);
+    rec.machine.computeScale = 256;
+    CordDetector recorder(CordConfig::forMachine(rec.machine, 4));
+    rec.detectors = {&recorder};
+    rec.timingCord = &recorder;
+    ASSERT_TRUE(runWorkload(rec).completed);
+
+    RunSetup rep = pinSetup("lu", 4);
+    rep.machine.computeScale = 256;
+    ReplayGate gate(recorder.orderLog(), 4);
+    rep.gate = &gate;
+    expectPinned("kPinReplayGate", runWorkload(rep), kPinReplayGate);
+    EXPECT_TRUE(gate.drained());
+}
+
+TEST(KernelEventPin, ServerWorkload)
+{
+    // Jittered spins and arrival waits: compute-chunk completions.
+    RunSetup s = pinSetup("kvstore", 4);
+    s.params.loadPercent = 200;
+    expectPinned("kPinServer", runWorkload(s), kPinServer);
 }
 
 } // namespace

@@ -2,10 +2,12 @@
  * @file
  * Unit tests for the discrete event kernel (sim/event_queue.h):
  * temporal ordering, same-tick priority ordering, insertion-order
- * tie-breaking, and the bounded run watchdog.  This binary also counts
- * every heap allocation, so it holds the zero-allocation guards for all
- * three per-access structures: the kernel's schedule/step cycle, the
- * ValueStore (runtime/value_store.h) and FlatAddrMap (sim/flat_map.h).
+ * tie-breaking, the heap-free wake lane, and the bounded run watchdog.
+ * This binary also counts every heap allocation, so it holds the
+ * zero-allocation guards for all the per-access structures: the
+ * kernel's schedule/step and wake cycles, the ValueStore
+ * (runtime/value_store.h), FlatAddrMap (sim/flat_map.h) and
+ * PagedAddrMap (sim/paged_map.h).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "runtime/value_store.h"
 #include "sim/event_queue.h"
 #include "sim/flat_map.h"
+#include "sim/paged_map.h"
 
 // Count every heap allocation this binary makes so the steady-state
 // tests below can assert the per-access hot paths are allocation-free.  Replaceable allocation functions must live at
@@ -236,6 +239,115 @@ TEST(EventQueue, SteadyStateScheduleStepDoesNotAllocate)
     EXPECT_EQ(sink, 33u * 2016u); // 33 rounds x sum(0..63)
 }
 
+/**
+ * A self-extending event program whose "core" events are either
+ * kPriCore heap events or wake()s.  Every event logs its id and draws
+ * its successors from one RNG, so two runs stay in lockstep exactly as
+ * long as their events execute in the same order.
+ */
+struct WakeProgram
+{
+    explicit WakeProgram(bool wakes) : useWake(wakes)
+    {
+        q.setWakeHandler(
+            [](void *p, std::uint32_t id) {
+                static_cast<WakeProgram *>(p)->fire(id);
+            },
+            this);
+    }
+
+    std::uint32_t
+    draw()
+    {
+        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<std::uint32_t>(rng >> 33);
+    }
+
+    void
+    wakeUp(std::uint32_t id)
+    {
+        if (useWake)
+            q.wake(id);
+        else
+            q.schedule(q.now(), [this, id] { fire(id); },
+                       EventQueue::kPriCore);
+    }
+
+    void
+    fire(std::uint32_t id)
+    {
+        log.push_back(id);
+        for (std::uint32_t k = 1 + draw() % 2; k > 0 && budget > 0; --k) {
+            const std::uint32_t child = budget--;
+            const std::uint32_t r = draw();
+            if (r % 3 == 0)
+                wakeUp(child);
+            else
+                q.schedule(q.now() + r / 3 % 3, [this, child] { fire(child); },
+                           static_cast<int>(r / 9 % 5));
+        }
+    }
+
+    EventQueue q;
+    bool useWake;
+    std::vector<std::uint32_t> log;
+    std::uint64_t rng = 12345;
+    std::uint32_t budget = 4000;
+};
+
+TEST(EventQueue, WakeRunsWhereAnEquivalentCoreEventWould)
+{
+    WakeProgram heap(false), lane(true);
+    for (WakeProgram *p : {&heap, &lane}) {
+        p->wakeUp(1);
+        p->q.schedule(0, [p] { p->fire(2); }, EventQueue::kPriBusGrant);
+        p->wakeUp(3);
+        p->q.schedule(0, [p] { p->fire(4); }, EventQueue::kPriWalker);
+        p->q.run();
+    }
+    EXPECT_EQ(heap.budget, 0u);
+    EXPECT_EQ(lane.log, heap.log);
+    EXPECT_EQ(lane.q.executedEvents(), heap.q.executedEvents());
+    EXPECT_EQ(lane.q.now(), heap.q.now());
+    EXPECT_TRUE(lane.q.empty());
+}
+
+TEST(EventQueue, PendingAndEmptyCountWakes)
+{
+    WakeProgram p(true);
+    p.budget = 0;
+    p.q.wake(7);
+    p.q.schedule(3, [] {});
+    EXPECT_FALSE(p.q.empty());
+    EXPECT_EQ(p.q.pending(), 2u);
+    EXPECT_TRUE(p.q.step()); // the wake, at tick 0
+    EXPECT_EQ(p.log, (std::vector<std::uint32_t>{7}));
+    EXPECT_EQ(p.q.pending(), 1u);
+    EXPECT_EQ(p.q.run(), 1u);
+    EXPECT_TRUE(p.q.empty());
+    EXPECT_EQ(p.q.executedEvents(), 2u);
+}
+
+TEST(EventQueue, SteadyStateWakeDoesNotAllocate)
+{
+    WakeProgram p(true);
+    p.budget = 0;
+    for (std::uint32_t i = 0; i < 8; ++i)
+        p.q.wake(i);
+    p.q.run();
+    p.log.reserve(p.log.size() + 32 * 8);
+
+    const std::uint64_t before = gHeapAllocs.load();
+    for (int round = 0; round < 32; ++round) {
+        for (std::uint32_t i = 0; i < 8; ++i)
+            p.q.wake(i);
+        p.q.run();
+    }
+    const std::uint64_t after = gHeapAllocs.load();
+    EXPECT_EQ(after, before) << "wake/step steady state must not allocate";
+    EXPECT_EQ(p.log.size(), 33u * 8u);
+}
+
 TEST(ValueStore, ResidentPageLoadStoreDoesNotAllocate)
 {
     // Two pages far apart, so the loop misses the one-entry MRU cache
@@ -282,6 +394,30 @@ TEST(FlatAddrMap, LookupOfPresentKeysDoesNotAllocate)
     EXPECT_EQ(m.size(), kKeys);
     // sum over rounds r = 0..3 of sum(k + r) for k < 1000
     EXPECT_EQ(sum, 4u * 499500u + 6u * kKeys);
+}
+
+TEST(PagedAddrMap, LookupOnResidentPageDoesNotAllocate)
+{
+    // Two pages far apart, so the loop refills the MRU page on every
+    // access and takes the page-index lookup.
+    PagedAddrMap<std::uint64_t, kWordBytes> m;
+    const Addr a = 0x1000, b = 0x800000;
+    m[a] = 1;
+    m[b] = 2;
+
+    const std::uint64_t before = gHeapAllocs.load();
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < 256; ++i) {
+        const Addr off = (i % 64) * kWordBytes;
+        m[a + off] += i;
+        m[b + off] += i;
+        sum += *m.find(a + off) + *m.find(b + off);
+    }
+    const std::uint64_t after = gHeapAllocs.load();
+    EXPECT_EQ(after, before)
+        << "lookups on resident pages must not touch the heap";
+    EXPECT_EQ(m.pageCount(), 2u);
+    EXPECT_GT(sum, 0u);
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "cord/access_history.h"
 #include "cord/ideal_detector.h"
 
 namespace cord
@@ -198,6 +201,33 @@ TEST(Ideal, TracksWordsIndependently)
     f.write(2, X + kWordBytes); // thread 2 never synchronized
     EXPECT_EQ(f.races(), 1u);
     EXPECT_EQ(f.det().trackedWords(), 2u);
+}
+
+TEST(AccessHistory, WordsCountsDistinctExclusiveAndPromotedWords)
+{
+    // words() counts first touches: repeat accesses by the owner, the
+    // promotion of a shared word and accesses after it add nothing.
+    const std::vector<VectorClock> vc = initialThreadClocks(4);
+    AccessHistory<NoStamp> h(4);
+    unsigned races = 0;
+    auto access = [&](ThreadId t, Addr a, bool write) {
+        h.access(vc[t], t, a, write, NoStamp{},
+                 [&](ThreadId, NoStamp, bool) { ++races; });
+    };
+    const Addr x = 0x1000, y = 0x1004, z = 0x900000;
+    EXPECT_EQ(h.words(), 0u);
+    access(0, x, true);
+    access(0, x, false);
+    access(0, x, true);
+    EXPECT_EQ(h.words(), 1u) << "exclusive word counts once";
+    access(0, y, false);
+    access(1, y, true); // promotes y
+    access(2, y, false);
+    access(1, y, true);
+    EXPECT_EQ(h.words(), 2u) << "promoted word counts once";
+    access(3, z, false); // another page
+    EXPECT_EQ(h.words(), 3u);
+    EXPECT_GT(races, 0u);
 }
 
 TEST(Ideal, LongChainAcrossAllThreads)
